@@ -197,11 +197,15 @@ let find t k =
   let hit ~layer e =
     t.c_stats <- { t.c_stats with hits = t.c_stats.hits + 1 };
     Obs.Metrics.inc (Lazy.force M.hits);
-    Obs.Trace.instant ~cat:"cache" "cache:hit"
-      ~args:[ ("name", Obs.Trace.S e.e_name) ];
-    Obs.Log.event ~level:Obs.Log.Debug "cache:hit"
-      [ ("key", Obs.Trace.S k); ("name", Obs.Trace.S e.e_name);
-        ("layer", Obs.Trace.S layer) ];
+    (* A hit is the daemon's warm path: build no event fields unless
+       something records them. *)
+    if Obs.Trace.enabled () then
+      Obs.Trace.instant ~cat:"cache" "cache:hit"
+        ~args:[ ("name", Obs.Trace.S e.e_name) ];
+    if Obs.Log.enabled () then
+      Obs.Log.event ~level:Obs.Log.Debug "cache:hit"
+        [ ("key", Obs.Trace.S k); ("name", Obs.Trace.S e.e_name);
+          ("layer", Obs.Trace.S layer) ];
     Some e
   in
   match Hashtbl.find_opt t.c_mem k with

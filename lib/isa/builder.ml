@@ -11,6 +11,12 @@ let create name =
 
 let insn b i = b.rev_items <- Program.Insn i :: b.rev_items
 
+let repeat b n body =
+  let items = Array.map (fun i -> Program.Insn i) body in
+  for k = 0 to n - 1 do
+    b.rev_items <- items.(k mod Array.length items) :: b.rev_items
+  done
+
 let label b name = b.rev_items <- Program.Label name :: b.rev_items
 
 let fresh b stem =

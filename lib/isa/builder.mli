@@ -13,6 +13,12 @@ val create : string -> t
 
 val insn : t -> Instr.t -> unit
 
+val repeat : t -> int -> Instr.t array -> unit
+(** [repeat b n body] emits [n] instructions cycling through [body]
+    (the [k]th is [body.(k mod Array.length body)]).  Each distinct
+    instruction is stored once and shared by its repetitions, so a long
+    straight-line body costs a slot per instruction, not a value. *)
+
 val label : t -> string -> unit
 (** Define a label at the current code position. *)
 

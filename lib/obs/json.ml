@@ -12,24 +12,34 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
 type state = { s : string; mutable pos : int }
 
+(* The parser runs on every daemon request and response, so the
+   per-character helpers do not allocate: [peek] answers ['\000'] at the
+   end of input (a NUL byte is never valid JSON outside a string, so
+   every caller treats both alike), and plain strings are cut out whole
+   instead of copied byte by byte. *)
+let peek_char st =
+  if st.pos < String.length st.s then String.unsafe_get st.s st.pos else '\000'
+
 let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
 
 let advance st = st.pos <- st.pos + 1
 
 let skip_ws st =
   while
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') -> true
-    | Some _ | None -> false
+    match peek_char st with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
   do
     advance st
   done
 
 let expect st c =
-  match peek st with
-  | Some x when x = c -> advance st
-  | Some x -> fail "expected %c at offset %d, found %c" c st.pos x
-  | None -> fail "expected %c at offset %d, found end of input" c st.pos
+  if st.pos < String.length st.s && String.unsafe_get st.s st.pos = c then
+    advance st
+  else
+    match peek st with
+    | Some x -> fail "expected %c at offset %d, found %c" c st.pos x
+    | None -> fail "expected %c at offset %d, found end of input" c st.pos
 
 let literal st word v =
   let n = String.length word in
@@ -39,8 +49,8 @@ let literal st word v =
   end
   else fail "bad literal at offset %d" st.pos
 
-let parse_string_body st =
-  expect st '"';
+(* The general case: a string with escapes, decoded byte by byte. *)
+let parse_escaped_string st =
   let b = Buffer.create 16 in
   let rec go () =
     match peek st with
@@ -86,13 +96,31 @@ let parse_string_body st =
   in
   go ()
 
+let parse_string_body st =
+  expect st '"';
+  let s = st.s and start = st.pos in
+  let stop = ref start in
+  while
+    !stop < String.length s
+    &&
+    let c = String.unsafe_get s !stop in
+    c <> '"' && c <> '\\'
+  do
+    incr stop
+  done;
+  if !stop < String.length s && String.unsafe_get s !stop = '"' then begin
+    st.pos <- !stop + 1;
+    String.sub s start (!stop - start)
+  end
+  else parse_escaped_string st
+
 let parse_number st =
   let start = st.pos in
   let num_char = function
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
   in
-  while (match peek st with Some c -> num_char c | None -> false) do
+  while num_char (peek_char st) do
     advance st
   done;
   let s = String.sub st.s start (st.pos - start) in
@@ -102,13 +130,13 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail "unexpected end of input"
-  | Some '"' -> Str (parse_string_body st)
-  | Some '{' ->
+  if st.pos >= String.length st.s then fail "unexpected end of input";
+  match peek_char st with
+  | '"' -> Str (parse_string_body st)
+  | '{' ->
     advance st;
     skip_ws st;
-    if peek st = Some '}' then (advance st; Obj [])
+    if peek_char st = '}' then (advance st; Obj [])
     else begin
       let rec members acc =
         skip_ws st;
@@ -117,33 +145,33 @@ let rec parse_value st =
         expect st ':';
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' -> advance st; members ((k, v) :: acc)
-        | Some '}' -> advance st; Obj (List.rev ((k, v) :: acc))
+        match peek_char st with
+        | ',' -> advance st; members ((k, v) :: acc)
+        | '}' -> advance st; Obj (List.rev ((k, v) :: acc))
         | _ -> fail "expected , or } at offset %d" st.pos
       in
       members []
     end
-  | Some '[' ->
+  | '[' ->
     advance st;
     skip_ws st;
-    if peek st = Some ']' then (advance st; Arr [])
+    if peek_char st = ']' then (advance st; Arr [])
     else begin
       let rec elements acc =
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' -> advance st; elements (v :: acc)
-        | Some ']' -> advance st; Arr (List.rev (v :: acc))
+        match peek_char st with
+        | ',' -> advance st; elements (v :: acc)
+        | ']' -> advance st; Arr (List.rev (v :: acc))
         | _ -> fail "expected , or ] at offset %d" st.pos
       in
       elements []
     end
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail "unexpected %c at offset %d" c st.pos
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail "unexpected %c at offset %d" c st.pos
 
 let parse s =
   let st = { s; pos = 0 } in

@@ -56,7 +56,9 @@ val now_us : unit -> float
     independent contexts.  {!with_span} run under a context mints a
     child span and stamps [trace_id]/[span_id]/[parent_id] args on the
     emitted event; pool workers receive the requesting connection's
-    context with their batch (see [Core.Parallel.pool_map]). *)
+    context with their batch (see [Core.Parallel.pool_map]).  A span's
+    id is minted as an integer and formatted only when read (an export,
+    a {!context} call), so recording a span costs no string work. *)
 
 type context = {
   trace_id : string;   (** shared by every span of one request *)
@@ -66,7 +68,14 @@ type context = {
 
 val new_id : unit -> string
 (** Fresh 16-hex-digit id; embeds the pid so ids minted in forked
-    workers never collide with the parent's. *)
+    workers never collide with the parent's.  The pid and the random
+    seed are cached per process, so no system call is made: a forked
+    child that mints ids must call {!after_fork} or {!reseed_ids}
+    first. *)
+
+val reseed_ids : unit -> unit
+(** Re-read the pid and draw a fresh seed for {!new_id}; for processes
+    that start serving after a fork of a process that minted ids. *)
 
 val set_context_key : (unit -> int) -> unit
 (** Install the scope-key function used to slot contexts per thread
@@ -90,6 +99,19 @@ val with_span :
     thunk runs with the child context installed, and the event carries
     [trace_id]/[span_id]/[parent_id] args. *)
 
+val timed_span :
+  ?cat:string ->
+  ?args:(string * arg) list ->
+  string ->
+  (float -> unit) ->
+  (unit -> 'a) ->
+  'a
+(** [timed_span name on_done f] is [with_span name f] that also hands
+    [on_done] the thunk's wall time in seconds (also when it raises).
+    The time is measured whether or not recording is on, from the same
+    clock reads as the span, so a caller that keeps its own breakdown
+    pays for one pair of reads, not two. *)
+
 val complete :
   ?cat:string ->
   ?args:(string * arg) list ->
@@ -106,8 +128,7 @@ val complete :
     ambient context. *)
 
 val after_fork : unit -> unit
-(** Re-initialise the buffer lock in a freshly forked child (a mutex
-    held by another thread at fork time would stay locked forever). *)
+(** Prepare a freshly forked child: {!reseed_ids}. *)
 
 val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 (** Record a zero-duration instant event (a point-in-time marker),
@@ -117,7 +138,8 @@ val thread_name : tid:int -> string -> unit
 (** Metadata event labelling a lane in the viewer. *)
 
 val emit_all : event list -> unit
-(** Append foreign (worker) events verbatim. *)
+(** Append foreign (worker) events verbatim (timestamps are kept to the
+    nanosecond, the export's resolution). *)
 
 val events : unit -> event list
 (** Recorded events, in recording order. *)

@@ -97,17 +97,27 @@ let write_frame ?deadline fd payload =
 
 (* --- JSON printing -------------------------------------------------------- *)
 
+(* Does [s] from [i] on need no escaping? *)
+let rec plain s i =
+  i >= String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && Char.code c >= 0x20 && plain s (i + 1)
+
 let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+  (* Names, ids and keys almost never need escaping: copy them whole. *)
+  if plain s 0 then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
 
 let add_num b f =
   if Float.is_nan f || Float.abs f = Float.infinity then
@@ -130,7 +140,7 @@ let json_to_string j =
       Buffer.add_char b '[';
       List.iteri
         (fun i v ->
-          if i > 0 then Buffer.add_string b ", ";
+          if i > 0 then comma ();
           go v)
         l;
       Buffer.add_char b ']'
@@ -138,13 +148,20 @@ let json_to_string j =
       Buffer.add_char b '{';
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ", ";
+          if i > 0 then comma ();
           Buffer.add_char b '"';
           escape b k;
-          Buffer.add_string b "\": ";
+          Buffer.add_char b '"';
+          Buffer.add_char b ':';
+          Buffer.add_char b ' ';
           go v)
         fields;
       Buffer.add_char b '}'
+  (* Separators go in char by char: [Buffer.add_char] is inlined, while
+     [Buffer.add_string] of a two-byte literal is a blit call. *)
+  and comma () =
+    Buffer.add_char b ',';
+    Buffer.add_char b ' '
   in
   go j;
   Buffer.contents b

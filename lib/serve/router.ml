@@ -11,13 +11,15 @@ module M = struct
       ~labels:[ ("op", op) ]
       ~help:"requests answered with an error" "serve_errors_total"
 
-  (* Router requests span four orders of magnitude: a ping answers in
-     tens of microseconds, a cache-hit estimate in about a millisecond,
-     and a cold characterization run in whole seconds.  The generic
-     default buckets start at 100ms and would collapse everything fast
-     into the first bucket, so spell out a latency-shaped ladder. *)
+  (* Router requests span six orders of magnitude: a ping or a
+     cache-hit estimate answers in tens of microseconds, a cold
+     estimate simulates for milliseconds, and a characterization run
+     takes whole seconds.  The generic default buckets start at 100ms
+     and would collapse everything fast into the first bucket, so spell
+     out a latency-shaped ladder. *)
   let request_seconds_buckets =
-    [| 1e-4; 2.5e-4; 1e-3; 2.5e-3; 1e-2; 2.5e-2; 0.1; 0.25; 1.0; 2.5; 10.0 |]
+    [| 1e-5; 2.5e-5; 5e-5; 1e-4; 2.5e-4; 1e-3; 2.5e-3; 1e-2; 2.5e-2; 0.1;
+       0.25; 1.0; 2.5; 10.0 |]
 
   let request_seconds op =
     Obs.Metrics.histogram
@@ -44,9 +46,13 @@ type t = {
   (* The eval cache's in-memory table is not safe under concurrent
      mutation; every parent-side find/store/flush — including whole
      [Core.Audit.run]/[Core.Explore.evaluate] calls, which thread the
-     cache through themselves — holds this lock.  Simulation inside
-     those calls happens in forked workers, so the lock serializes
-     bookkeeping, not compute. *)
+     cache through themselves — holds this lock, and so does every use
+     of [r_keys].  Simulation inside those calls happens in forked
+     workers, so the lock serializes bookkeeping, not compute. *)
+  r_keys : (string * string * Sim.Config.t, string) Hashtbl.t;
+  (* Memoized [Core.Eval_cache.key] per (workload, backend, config):
+     the key marshals and hashes the whole program, which would
+     otherwise dominate a warm estimate. *)
   r_pool :
     (string * string * Sim.Config.t, Core.Eval_cache.entry) Core.Parallel.pool;
   r_pool_lock : Mutex.t;
@@ -84,15 +90,20 @@ let locked m f =
    repeated names merge. *)
 type phases = { mutable px_phases : (string * float) list }
 
-let phase px name f =
-  let t0 = Unix.gettimeofday () in
-  Obs.Trace.with_span ~cat:"serve" ("phase:" ^ name) (fun () ->
-      Fun.protect
-        ~finally:(fun () ->
-          px.px_phases <- (name, Unix.gettimeofday () -. t0) :: px.px_phases)
-        f)
-
 let phase_order = [ "queue"; "parse"; "registry"; "cache"; "simulate"; "serialize" ]
+
+(* A phase is its breakdown name and its span name, both built once. *)
+let ph name = (name, "phase:" ^ name)
+let ph_queue = ph "queue"
+let ph_registry = ph "registry"
+let ph_cache = ph "cache"
+let ph_simulate = ph "simulate"
+let ph_serialize = ph "serialize"
+
+let phase px (name, span) f =
+  Obs.Trace.timed_span ~cat:"serve" span
+    (fun s -> px.px_phases <- (name, s) :: px.px_phases)
+    f
 
 let merged_phases px =
   let seen = ref [] in
@@ -158,6 +169,7 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
   { r_registry = Registry.create ?max_models ?jobs ?characterize ();
     r_cache = Core.Eval_cache.create ?dir:cache_dir ();
     r_cache_lock = Mutex.create ();
+    r_keys = Hashtbl.create 64;
     r_pool = Core.Parallel.create_pool ?jobs ?read_timeout_s profile_entry;
     r_pool_lock = Mutex.create ();
     r_state_lock = Mutex.create ();
@@ -199,6 +211,26 @@ let str_field ~op k req =
 let find_case name =
   try Workloads.Suite.find name
   with Not_found -> failwith (Printf.sprintf "unknown workload %S" name)
+
+(* Bound on [r_keys]: far above any real working set (workloads x
+   backends x configs in use), small enough that a client cycling
+   through configurations cannot grow the daemon without limit.  On
+   overflow the memo starts over. *)
+let max_memo_keys = 4096
+
+(* Caller holds [r_cache_lock]. *)
+let cache_key t ~backend ~config (case : Core.Extract.case) =
+  let k = (case.Core.Extract.case_name, backend, config) in
+  match Hashtbl.find_opt t.r_keys k with
+  | Some key -> key
+  | None ->
+    let key = Core.Eval_cache.key ~backend ~config case in
+    if Hashtbl.length t.r_keys >= max_memo_keys then Hashtbl.reset t.r_keys;
+    Hashtbl.add t.r_keys k key;
+    key
+
+let eval_cache_key t ~backend ~config case =
+  locked t.r_cache_lock (fun () -> cache_key t ~backend ~config case)
 
 let workload_list ~op req =
   match member_opt "workloads" req with
@@ -291,19 +323,19 @@ let handle_estimate t px req =
   let bname = Sim.Backend.name backend in
   (* Resolve every name before simulating anything, so one typo fails
      the request instead of wasting a batch. *)
-  List.iter (fun n -> ignore (find_case n)) names;
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
+  let cases = List.map (fun n -> (n, find_case n)) names in
+  let lookup =
+    phase px ph_registry (fun () -> Registry.get t.r_registry config)
+  in
   let model = lookup.Registry.l_model in
   let found =
-    phase px "cache" @@ fun () ->
+    phase px ph_cache @@ fun () ->
     locked t.r_cache_lock (fun () ->
         List.map
-          (fun n ->
-            let key =
-              Core.Eval_cache.key ~backend:bname ~config (find_case n)
-            in
+          (fun (n, case) ->
+            let key = cache_key t ~backend:bname ~config case in
             (n, key, Core.Eval_cache.find t.r_cache key))
-          names)
+          cases)
   in
   let missing =
     List.filter_map
@@ -315,24 +347,24 @@ let handle_estimate t px req =
     else begin
       (* The wait for the shared pool is queueing, not simulation:
          charge the lock acquisition and the batch separately. *)
-      phase px "queue" (fun () -> Mutex.lock t.r_pool_lock);
+      phase px ph_queue (fun () -> Mutex.lock t.r_pool_lock);
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.r_pool_lock)
         (fun () ->
-          phase px "simulate" (fun () ->
+          phase px ph_simulate (fun () ->
               Core.Parallel.pool_map t.r_pool
                 (List.map (fun (n, _) -> (n, bname, config)) missing)))
     end
   in
   let fresh = Hashtbl.create 8 in
-  phase px "cache" (fun () ->
+  phase px ph_cache (fun () ->
       locked t.r_cache_lock (fun () ->
           List.iter2
             (fun (n, key) entry ->
               Core.Eval_cache.store t.r_cache key entry;
               Hashtbl.replace fresh n entry)
             missing computed));
-  phase px "serialize" @@ fun () ->
+  phase px ph_serialize @@ fun () ->
   let row (n, _, cached) =
     let entry, was_cached =
       match cached with
@@ -369,14 +401,16 @@ let handle_attribute t px req =
   let config = request_config req in
   let backend = request_backend ~op:"attribute" req in
   let case = find_case name in
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
+  let lookup =
+    phase px ph_registry (fun () -> Registry.get t.r_registry config)
+  in
   let b =
-    phase px "simulate" @@ fun () ->
+    phase px ph_simulate @@ fun () ->
     Sim.Backend.with_current backend @@ fun () ->
     Core.Attribution.run ~config ~bucket_cycles:bucket
       lookup.Registry.l_model case
   in
-  phase px "serialize" @@ fun () ->
+  phase px ph_serialize @@ fun () ->
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "attribute");
@@ -399,13 +433,15 @@ let handle_profile t px req =
   let config = request_config req in
   let backend = request_backend ~op:"profile" req in
   let case = find_case name in
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
+  let lookup =
+    phase px ph_registry (fun () -> Registry.get t.r_registry config)
+  in
   let r =
-    phase px "simulate" @@ fun () ->
+    phase px ph_simulate @@ fun () ->
     Sim.Backend.with_current backend @@ fun () ->
     Core.Profiler.run ~config lookup.Registry.l_model case
   in
-  phase px "serialize" @@ fun () ->
+  phase px ph_serialize @@ fun () ->
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "profile");
@@ -423,23 +459,25 @@ let handle_audit t px req =
   in
   let config = request_config req in
   let backend = request_backend ~op:"audit" req in
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
+  let lookup =
+    phase px ph_registry (fun () -> Registry.get t.r_registry config)
+  in
   let report =
     (* Audit forks its own short-lived workers inside this scope, so
        they inherit the request's backend.  It also threads the shared
        cache through itself, so the whole run holds the cache lock —
        simulation still parallelizes in its forked workers.  The wait
        for that lock is queueing; the run itself is simulation. *)
-    phase px "queue" (fun () -> Mutex.lock t.r_cache_lock);
+    phase px ph_queue (fun () -> Mutex.lock t.r_cache_lock);
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.r_cache_lock)
       (fun () ->
-        phase px "simulate" @@ fun () ->
+        phase px ph_simulate @@ fun () ->
         Sim.Backend.with_current backend @@ fun () ->
         Core.Audit.run ?jobs:t.r_jobs ~cache:t.r_cache ~config
           lookup.Registry.l_model cases)
   in
-  phase px "serialize" @@ fun () ->
+  phase px ph_serialize @@ fun () ->
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "audit");
@@ -486,17 +524,17 @@ let handle_explore t px req =
         let cs = List.rev !cell in
         let config = (List.hd cs).Core.Explore.config in
         let lookup =
-          phase px "registry" (fun () -> Registry.get t.r_registry config)
+          phase px ph_registry (fun () -> Registry.get t.r_registry config)
         in
         if lookup.Registry.l_hit then incr registry_hits;
-        phase px "simulate" @@ fun () ->
+        phase px ph_simulate @@ fun () ->
         locked t.r_cache_lock @@ fun () ->
         Sim.Backend.with_current backend @@ fun () ->
         Core.Explore.evaluate ?jobs:t.r_jobs ~cache:t.r_cache
           lookup.Registry.l_model cs)
       !groups
   in
-  phase px "serialize" @@ fun () ->
+  phase px ph_serialize @@ fun () ->
   let points = List.concat_map (fun o -> o.Core.Explore.points) outcomes in
   (* Back to the space's candidate order, then one frontier over the
      whole space (per-group frontiers would miss cross-config
@@ -706,7 +744,7 @@ let dispatch t px op req =
   | "audit" -> handle_audit t px req
   | "explore" -> handle_explore t px req
   | "metrics" ->
-    phase px "serialize" (fun () ->
+    phase px ph_serialize (fun () ->
         J.Obj
           [ ("ok", J.Bool true);
             ("op", J.Str "metrics");
@@ -807,26 +845,35 @@ let handle ?received ?parse_s t req =
   (* The breakdown's phases sum to [total] exactly: whatever the named
      phases did not account for is reported honestly as "other". *)
   let phases =
-    let named = merged_phases px in
-    let accounted = List.fold_left (fun a (_, s) -> a +. s) 0.0 named in
-    named @ [ ("other", Float.max 0.0 (total -. accounted)) ]
+    lazy
+      (let named = merged_phases px in
+       let accounted = List.fold_left (fun a (_, s) -> a +. s) 0.0 named in
+       named @ [ ("other", Float.max 0.0 (total -. accounted)) ])
   in
+  (* Log fields are built only when a sink will take them: on the warm
+     path the lists would cost a measurable share of the request. *)
+  let logging = Obs.Log.enabled () in
   (match t.r_slow_s with
   | Some thr when total >= thr ->
     Obs.Metrics.inc (M.slow opl);
-    Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
-      (( ("op", Obs.Trace.S op)
-       :: ("total_ms", Obs.Trace.F (total *. 1e3))
-       :: ("trace_id", Obs.Trace.S ctx.Obs.Trace.trace_id)
-       :: List.map
-            (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
-            phases ))
+    if logging then
+      Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
+        (( ("op", Obs.Trace.S op)
+         :: ("total_ms", Obs.Trace.F (total *. 1e3))
+         :: ("trace_id", Obs.Trace.S ctx.Obs.Trace.trace_id)
+         :: List.map
+              (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
+              (Lazy.force phases) ))
   | _ -> ());
-  let ok = match resp with J.Obj (("ok", J.Bool b) :: _) -> b | _ -> false in
-  Obs.Log.event "serve:request"
-    [ ("op", Obs.Trace.S op);
-      ("ok", Obs.Trace.B ok);
-      ("seconds", Obs.Trace.F dt) ];
+  if logging then begin
+    let ok =
+      match resp with J.Obj (("ok", J.Bool b) :: _) -> b | _ -> false
+    in
+    Obs.Log.event "serve:request"
+      [ ("op", Obs.Trace.S op);
+        ("ok", Obs.Trace.B ok);
+        ("seconds", Obs.Trace.F dt) ]
+  end;
   let extra =
     ("trace_id", J.Str ctx.Obs.Trace.trace_id)
     ::
@@ -836,7 +883,9 @@ let handle ?received ?parse_s t req =
              [ ("total_us", J.Num (total *. 1e6));
                ( "phases",
                  J.Obj
-                   (List.map (fun (n, s) -> (n, J.Num (s *. 1e6))) phases) )
+                   (List.map
+                      (fun (n, s) -> (n, J.Num (s *. 1e6)))
+                      (Lazy.force phases)) )
              ] ) ]
      else [])
   in

@@ -127,6 +127,15 @@ val registry : t -> Registry.t
 (** The router's model registry (e.g. to {!Registry.preload} a model
     loaded from a coefficients file). *)
 
+val eval_cache_key :
+  t -> backend:string -> config:Sim.Config.t -> Core.Extract.case -> string
+(** The evaluation-cache key of one workload, as [estimate] computes it:
+    {!Core.Eval_cache.key}, memoized per (workload name, backend name,
+    configuration) in a table bounded by a fixed constant (it starts
+    over when full).  Always the same bytes as a fresh
+    {!Core.Eval_cache.key}, so caches written by the CLI stay valid.
+    Workload names must resolve through {!Workloads.Suite.find}. *)
+
 val handle : ?received:float -> ?parse_s:float -> t -> Obs.Json.t -> Obs.Json.t
 (** Dispatch one parsed request.  [received] ([Unix.gettimeofday]
     seconds) is when the server finished reading the request frame —

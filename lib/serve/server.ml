@@ -95,6 +95,9 @@ let run ?(io_timeout_s = 10.0) ?(backlog = 16) ?(max_conns = 8) ~socket router
   Obs.Log.set_correlation_key (fun () -> Thread.id (Thread.self ()));
   Sim.Backend.set_scope_key (fun () -> Thread.id (Thread.self ()));
   Obs.Trace.set_context_key (fun () -> Thread.id (Thread.self ()));
+  (* The daemon may be a fork of a process that already minted trace
+     ids; its own must not repeat them. *)
+  Obs.Trace.reseed_ids ();
   Obs.Log.event "serve:start"
     [ ("socket", Obs.Trace.S socket);
       ("io_timeout_s", Obs.Trace.F io_timeout_s);

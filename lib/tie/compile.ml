@@ -3,14 +3,17 @@ exception Tie_error of string
 let fail fmt = Format.kasprintf (fun s -> raise (Tie_error s)) fmt
 
 (* Execution plan, fully resolved at compile time: operand slots in
-   positional order, a reusable scratch array they are written into, and
-   the result/update expressions compiled to closures over (args,
+   positional order, the size of the frame they are written into, and
+   the result/update expressions compiled to closures over (frame,
    states).  The simulator retires custom instructions on its hot path,
    so nothing here may require a name lookup or width inference per
-   execution. *)
+   execution.  The plan itself is immutable: frames belong to the run
+   ([state_store] for [execute], the bound closure for [bind]), so one
+   compiled extension can serve concurrent simulations. *)
 type plan = {
   p_ops : Spec.operand array;          (* def.ins, in order *)
-  p_args : int array;                  (* scratch, one slot per operand *)
+  p_frame : int;
+      (* one slot per operand, then the expressions' temporaries *)
   p_result : Expr.compiled_fn option;
   p_updates : (int * int * Expr.compiled_fn) array;
       (* (state index, state width, new-value expression) *)
@@ -139,7 +142,7 @@ let index_of_name ~what iname name extract items =
   in
   go 0 items
 
-let make_plan (spec : Spec.t) (def : Spec.insn_def) ctx =
+let make_plan (spec : Spec.t) (def : Spec.insn_def) ctx exprs =
   let arg name =
     index_of_name ~what:"operand" def.Spec.iname name
       (fun o -> o.Spec.oname) def.Spec.ins
@@ -153,9 +156,15 @@ let make_plan (spec : Spec.t) (def : Spec.insn_def) ctx =
     | Some t -> t.Spec.tdata
     | None -> fail "%s: unknown table %S" def.Spec.iname name
   in
-  let compile_expr e = Expr.compile ctx ~arg ~state ~table e in
+  (* The expressions run one after another, so their temporaries can
+     share the slots after the operands. *)
+  let nops = List.length def.Spec.ins in
+  let temps =
+    List.fold_left (fun m e -> max m (Expr.scratch_slots e)) 0 exprs
+  in
+  let compile_expr e = Expr.compile ctx ~arg ~state ~table ~scratch:nops e in
   { p_ops = Array.of_list def.Spec.ins;
-    p_args = Array.make (List.length def.Spec.ins) 0;
+    p_frame = nops + temps;
     p_result = Option.map compile_expr def.Spec.result;
     p_updates =
       Array.of_list
@@ -204,7 +213,7 @@ let compile_insn (spec : Spec.t) (def : Spec.insn_def) =
     regfile_reads = List.length regs;
     writes_regfile = def.Spec.result <> None;
     bus_facing = bus;
-    plan = make_plan spec def ctx }
+    plan = make_plan spec def ctx exprs }
 
 let compile spec =
   let names = List.map (fun i -> i.Spec.iname) spec.Spec.instructions in
@@ -252,22 +261,30 @@ let bus_facing_components c =
 (* State values live in an array indexed by declaration order (the same
    order the per-instruction plans resolved [State] references against);
    the name index only serves the by-name [state_value] queries of
-   observers and tests. *)
+   observers and tests.  [s_frame] is [execute]'s operand/temporary
+   frame, sized for the largest instruction. *)
 type state_store = {
   s_index : (string, int) Hashtbl.t;
   s_values : int array;
+  s_frame : int array;
 }
 
 let create_state c =
   let states = c.cspec.Spec.states in
   let index = Hashtbl.create 8 in
   List.iteri (fun i s -> Hashtbl.replace index s.Spec.sname i) states;
+  let frame =
+    List.fold_left (fun m (_, i) -> max m i.plan.p_frame) 0 c.insns
+  in
   { s_index = index;
-    s_values = Array.of_list (List.map (fun s -> s.Spec.sinit) states) }
+    s_values = Array.of_list (List.map (fun s -> s.Spec.sinit) states);
+    s_frame = Array.make frame 0 }
 
 let copy_state (store : state_store) : state_store =
   (* The name index is immutable after creation; only values change. *)
-  { store with s_values = Array.copy store.s_values }
+  { store with
+    s_values = Array.copy store.s_values;
+    s_frame = Array.copy store.s_frame }
 
 let state_value store name =
   match Hashtbl.find_opt store.s_index name with
@@ -284,7 +301,7 @@ let mask_to w v = if w >= 63 then v else v land ((1 lsl w) - 1)
 let execute _c store insn ~srcs ~imm =
   let def = insn.def in
   let p = insn.plan in
-  let args = p.p_args in
+  let args = store.s_frame in
   let nops = Array.length p.p_ops in
   (* Bind operands positionally: register operands consume [srcs] in
      order, the immediate operand takes [imm]. *)
@@ -338,13 +355,12 @@ let no_result = -1
 (* Pre-bind a call site: operand routing (which source register feeds
    which operand slot, the immediate's constant value, every operand
    mask) is resolved once, so the per-execution work is a masked copy
-   loop plus the compiled expressions.  Uses a private args array —
+   loop plus the compiled expressions.  Uses a private frame —
    immediate slots are filled here and never rewritten. *)
 let bind _c store insn ~nsrcs ~imm =
   let def = insn.def in
   let p = insn.plan in
-  let nops = Array.length p.p_ops in
-  let args = Array.make nops 0 in
+  let args = Array.make p.p_frame 0 in
   let pos = ref [] and msk = ref [] and nreg = ref 0 in
   Array.iteri
     (fun k (o : Spec.operand) ->
@@ -412,52 +428,3 @@ let bind _c store insn ~nsrcs ~imm =
         states.(i) <- staged.(k)
       done;
       r
-
-let execute_fast _c store insn ~srcs ~imm =
-  let def = insn.def in
-  let p = insn.plan in
-  let args = p.p_args in
-  let ops = p.p_ops in
-  let nops = Array.length ops in
-  let nsrcs = Array.length srcs in
-  let rec fill k s =
-    if k < nops then
-      let o = Array.unsafe_get ops k in
-      match o.Spec.okind with
-      | Spec.Imm ->
-        let v =
-          match imm with
-          | Some v -> v
-          | None -> fail "%s: missing immediate" def.Spec.iname
-        in
-        args.(k) <- mask_to o.Spec.owidth v;
-        fill (k + 1) s
-      | Spec.In_reg ->
-        if s >= nsrcs then
-          fail "%s: not enough register operands" def.Spec.iname;
-        args.(k) <- mask_to o.Spec.owidth (Array.unsafe_get srcs s);
-        fill (k + 1) (s + 1)
-  in
-  fill 0 0;
-  let states = store.s_values in
-  let result =
-    match p.p_result with
-    | Some f -> mask_to 32 (f args states)
-    | None -> no_result
-  in
-  (match Array.length p.p_updates with
-   | 0 -> ()
-   | 1 ->
-     let (i, sw, f) = p.p_updates.(0) in
-     states.(i) <- mask_to sw (f args states)
-   | n ->
-     let staged = Array.make n 0 in
-     for k = 0 to n - 1 do
-       let (_, sw, f) = p.p_updates.(k) in
-       staged.(k) <- mask_to sw (f args states)
-     done;
-     for k = 0 to n - 1 do
-       let (i, _, _) = p.p_updates.(k) in
-       states.(i) <- staged.(k)
-     done);
-  result

@@ -75,11 +75,13 @@ val execute :
   int option
 (** Run one instruction: returns the destination-register value (if the
     instruction has a result) and commits state updates.  Register
-    operands are consumed positionally from [srcs].
+    operands are consumed positionally from [srcs].  All per-execution
+    scratch lives in the store, so a compiled extension shared between
+    threads is safe as long as each simulation has its own store.
     @raise Tie_error if [srcs] does not supply every register operand. *)
 
 val no_result : int
-(** Sentinel returned by {!execute_fast} when the instruction writes no
+(** Sentinel returned by a {!bind} closure when the instruction writes no
     register ([-1]; real results are masked to 32 bits, so never
     negative). *)
 
@@ -94,20 +96,7 @@ val bind :
     the source-register-to-operand routing are resolved now, returning
     a closure that executes against the given state store with only a
     masked operand copy per call.  Results, state updates, and masking
-    are bit-identical to {!execute_fast} fed the same sources.
+    are bit-identical to {!execute} fed the same sources.
     @raise Tie_error now (rather than at execution) if the call site
     supplies fewer than the required register operands or omits a
     required immediate. *)
-
-val execute_fast :
-  compiled ->
-  state_store ->
-  compiled_insn ->
-  srcs:int array ->
-  imm:int option ->
-  int
-(** {!execute} without allocation, for the simulator's threaded
-    backend: register operands come from an array the caller reuses
-    across retirements, and the result is returned directly
-    ({!no_result} if the instruction has none).  State updates and
-    failure modes are identical to {!execute}. *)

@@ -158,7 +158,10 @@ let rec eval ctx env e =
    masks) become captured integers, operand/state references become
    array indices, and table lookups capture the data array.  What
    remains per evaluation is one closure call per node over two int
-   arrays — positional operand values and state values. *)
+   arrays — a frame of positional operand values followed by scratch
+   slots, and state values.  The closures hold no mutable state of
+   their own, so one compiled expression may run on several threads at
+   once, each over its own frame. *)
 
 type compiled_fn = int array -> int array -> int
 
@@ -176,18 +179,19 @@ let subexprs = function
   | Tie_csa (a, b, c) ->
     [ a; b; c ]
 
-let compile ctx ~arg ~state ~table e =
-  (* Specifications write expressions as trees, but let-bound
-     intermediates (the datapath idiom) make them DAGs: the same
-     subexpression object appears under several parents, and a plain
-     tree walk re-evaluates it per appearance.  Expressions are pure and
-     total, so any subexpression occurring at two or more evaluation
-     sites is hoisted into a prelude that runs once per evaluation and
-     stores its (masked) value in a scratch slot; references compile to
-     a slot read.  This also means a hoisted node under a [Mux] branch
-     is evaluated even when the branch is not taken — harmless for the
-     same reason (purity), and cheaper than re-evaluating it lazily at
-     each of its sites. *)
+(* Specifications write expressions as trees, but let-bound
+   intermediates (the datapath idiom) make them DAGs: the same
+   subexpression object appears under several parents, and a plain tree
+   walk re-evaluates it per appearance.  Expressions are pure and total,
+   so any subexpression occurring at two or more evaluation sites is
+   hoisted into a prelude that runs once per evaluation and stores its
+   (masked) value in a scratch slot; references compile to a slot read.
+   This also means a hoisted node under a [Mux] branch is evaluated even
+   when the branch is not taken — harmless for the same reason (purity),
+   and cheaper than re-evaluating it lazily at each of its sites.
+   [shared_nodes] returns the hoisted nodes' slot numbers and the nodes
+   themselves, last-assigned first. *)
+let shared_nodes e =
   let counts = Hashtbl.create 16 in
   let rec count e =
     match e with
@@ -219,8 +223,13 @@ let compile ctx ~arg ~state ~table e =
       end
   in
   assign e;
+  (slot_of, !shared)
+
+let scratch_slots e = Hashtbl.length (fst (shared_nodes e))
+
+let compile ctx ~arg ~state ~table ~scratch e =
+  let slot_of, shared = shared_nodes e in
   let nshared = Hashtbl.length slot_of in
-  let temps = Array.make (max nshared 1) 0 in
   (* Per-node closure calls are indirect and the compiler cannot fuse
      them, so the frequent leaf shapes — operands, operand bit-fields,
      and operators applied directly to them — are pattern-matched into
@@ -231,7 +240,9 @@ let compile ctx ~arg ~state ~table e =
      interchangeable bit for bit. *)
   let rec comp e : compiled_fn =
     match Hashtbl.find_opt slot_of e with
-    | Some id -> fun _ _ -> Array.unsafe_get temps id
+    | Some id ->
+      let i = scratch + id in
+      fun a _ -> Array.unsafe_get a i
     | None -> comp_node e
   and comp_node e : compiled_fn =
     let w = width ctx e in
@@ -519,11 +530,11 @@ let compile ctx ~arg ~state ~table e =
     let prelude = Array.make nshared (fun _ _ -> 0) in
     List.iter
       (fun e -> prelude.(Hashtbl.find slot_of e) <- comp_node e)
-      !shared;
+      shared;
     let froot = comp_node e in
     fun a s ->
       for i = 0 to nshared - 1 do
-        Array.unsafe_set temps i ((Array.unsafe_get prelude i) a s)
+        Array.unsafe_set a (scratch + i) ((Array.unsafe_get prelude i) a s)
       done;
       froot a s
   end

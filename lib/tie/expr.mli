@@ -62,22 +62,33 @@ val eval : ctx -> env -> t -> int
     from the operand's width. *)
 
 type compiled_fn = int array -> int array -> int
-(** A compiled expression: applied to the positional operand values and
-    the state-value array, returns the expression value.  Behaves
-    bit-for-bit like {!eval} over the same bindings. *)
+(** A compiled expression: applied to a frame and the state-value array,
+    returns the expression value.  The frame holds the positional
+    operand values, and from the [scratch] index given to {!compile} on,
+    the expression's {!scratch_slots} temporaries.  Behaves bit-for-bit
+    like {!eval} over the same bindings.  The function keeps no mutable
+    state of its own: callers that own distinct frames may run it
+    concurrently. *)
+
+val scratch_slots : t -> int
+(** Number of frame slots {!compile} uses for temporaries: one per
+    subexpression shared between several evaluation sites. *)
 
 val compile :
   ctx ->
   arg:(string -> int) ->
   state:(string -> int) ->
   table:(string -> int array) ->
+  scratch:int ->
   t ->
   compiled_fn
 (** Compile the expression once into a closure tree with all
     value-independent work hoisted out of evaluation: widths and masks
     become captured constants, [arg]/[state] resolve names to indices
     into the two runtime arrays, and [table] resolves a table name to
-    its data.  Name resolution and width inference run eagerly, so the
+    its data.  Temporaries live in frame slots [scratch] to
+    [scratch + scratch_slots e - 1], which must not overlap the operand
+    slots.  Name resolution and width inference run eagerly, so the
     errors {!eval} would raise per evaluation surface here instead.
     [Mux] stays lazy: only the selected branch is evaluated.
     @raise Width_error on width inference failures; the resolver

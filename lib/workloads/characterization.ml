@@ -218,14 +218,15 @@ let icache_thrash () =
   movi b a5 3;
   movi b a2 8;
   label b "outer";
-  for i = 0 to 6499 do
-    match i mod 5 with
-    | 0 -> add b a6 a4 a5
-    | 1 -> xor b a7 a6 a4
-    | 2 -> addi b a4 a4 1
-    | 3 -> sub b a5 a7 a6
-    | _ -> or_ b a6 a5 a4
-  done;
+  (* Emitted shared: this is the largest program in the workload table,
+     which every daemon, pool lane and benchmark harness keeps. *)
+  repeat b 6500
+    Isa.Instr.
+      [| Binop (Add, a6, a4, a5);
+         Binop (Xor, a7, a6, a4);
+         Addi (a4, a4, 1);
+         Binop (Sub, a5, a7, a6);
+         Binop (Or_, a6, a5, a4) |];
   addi b a2 a2 (-1);
   bnez b a2 "outer";
   halt b;

@@ -199,6 +199,45 @@ let with_router f =
     ~finally:(fun () -> Serve.Router.shutdown router)
     (fun () -> f router)
 
+let test_router_memo_keys () =
+  (* The memoized eval-cache key is byte-identical to a fresh one for
+     every workload, on both backends and two configurations, on the
+     first (computing) and the second (memoized) lookup alike. *)
+  with_router @@ fun router ->
+  let small_icache =
+    let d = Sim.Config.default in
+    { d with Sim.Config.icache = { d.Sim.Config.icache with size_bytes = 8192 } }
+  in
+  let key = Serve.Router.eval_cache_key router in
+  List.iter
+    (fun name ->
+      let case = Workloads.Suite.find name in
+      List.iter
+        (fun config ->
+          List.iter
+            (fun backend ->
+              let fresh = Core.Eval_cache.key ~backend ~config case in
+              let first = key ~backend ~config case in
+              let again = key ~backend ~config case in
+              let what = name ^ "/" ^ backend in
+              check Alcotest.string (what ^ ": computed") fresh first;
+              check Alcotest.string (what ^ ": memoized") fresh again)
+            [ "interp"; "threaded" ])
+        [ Sim.Config.default; small_icache ])
+    (Workloads.Suite.names ());
+  (* Past the memo's bound it starts over and stays correct. *)
+  let gcd = Workloads.Suite.find "gcd" in
+  for i = 1 to 4200 do
+    let config =
+      { Sim.Config.default with Sim.Config.max_cycles = 1_000_000 + i }
+    in
+    let k = key ~backend:"interp" ~config gcd in
+    if i mod 700 = 0 then
+      check Alcotest.string "key past the bound"
+        (Core.Eval_cache.key ~backend:"interp" ~config gcd)
+        k
+  done
+
 let test_router_profile_op () =
   with_router @@ fun router ->
   let call req = Serve.Router.handle router req in
@@ -338,6 +377,10 @@ let test_request_seconds_buckets () =
      exporter's le label last. *)
   check Alcotest.bool "sub-millisecond bucket present" true
     (contains scrape "serve_request_seconds_bucket{op=\"ping\",le=\"0.0001\"}");
+  (* A warm estimate answers in tens of microseconds: the ladder must
+     resolve below 100us too. *)
+  check Alcotest.bool "10us bucket present" true
+    (contains scrape "serve_request_seconds_bucket{op=\"ping\",le=\"1e-05\"}");
   let lines = String.split_on_char '\n' scrape in
   let starts p s =
     String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -895,10 +938,20 @@ let test_server_trace_ids_per_session () =
       (Obs.Trace.events ())
   with
   | Some e -> (
-    match List.assoc_opt "trace_id" e.Obs.Trace.ev_args with
+    (match List.assoc_opt "trace_id" e.Obs.Trace.ev_args with
     | Some (Obs.Trace.S s) ->
       check Alcotest.string "daemon adopted the client's trace id" s echoed
-    | _ -> Alcotest.fail "client:call span carries no trace_id")
+    | _ -> Alcotest.fail "client:call span carries no trace_id");
+    (* A trace id inherited from a caller's context that needs JSON
+       escaping still reaches the daemon intact. *)
+    let odd = "q\"uo\\te" in
+    let resp =
+      Obs.Trace.with_context
+        { Obs.Trace.trace_id = odd; span_id = Obs.Trace.new_id (); parent_id = None }
+        (fun () -> Serve.Client.call ~timeout_s:5.0 ~socket ping_req)
+    in
+    check Alcotest.string "escaped trace id round-trips" odd
+      (match member "trace_id" resp with J.Str s -> s | _ -> ""))
   | None -> Alcotest.fail "no client:call span recorded"
 
 let test_server_socket_steal_refused () =
@@ -1025,6 +1078,8 @@ let () =
           Alcotest.test_case "explore op" `Slow test_router_explore_op;
           Alcotest.test_case "latency-shaped request buckets" `Quick
             test_request_seconds_buckets;
+          Alcotest.test_case "memoized eval-cache keys" `Quick
+            test_router_memo_keys;
           Alcotest.test_case "timings + trace ids" `Quick
             test_router_timings_and_trace;
           Alcotest.test_case "status op" `Quick test_router_status_op;

@@ -846,6 +846,67 @@ let test_backend_selection () =
     (Sim.Backend.current () = Sim.Backend.Interp);
   Unix.putenv Sim.Backend.env_var ""
 
+let test_backend_shared_extension_threads () =
+  (* Cases are shared process-wide (one workload table), so a compiled
+     TIE extension must carry no per-execution scratch of its own: two
+     parallel runners simulating the same custom-instruction workloads
+     on both backends must each get exactly the serial answer. *)
+  let jobs =
+    List.concat_map
+      (fun name ->
+        let c = Workloads.Suite.find name in
+        List.map (fun b -> (c, b)) [ Sim.Backend.Interp; Sim.Backend.Threaded ])
+      [ "rs_gfmac"; "custom_mix_gf" ]
+  in
+  (* The variable vector, plus a fold of every custom instruction's
+     result and state values: the vector alone is blind to a corrupted
+     value that does not change control flow. *)
+  let profile (c, b) =
+    let acc = ref 0 in
+    let observe (e : Sim.Event.t) =
+      match e.Sim.Event.custom with
+      | Some ci ->
+        acc :=
+          Hashtbl.hash (!acc, ci.Sim.Event.cresult, ci.Sim.Event.cstates)
+      | None -> ()
+    in
+    Sim.Backend.with_current b (fun () ->
+        let p = Core.Extract.profile ~observers:[ observe ] c in
+        (p.Core.Extract.variables, !acc))
+  in
+  let expected = List.map profile jobs in
+  let same (va, ha) (vb, hb) =
+    ha = hb
+    && Array.for_all2
+         (fun x y ->
+           Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         va vb
+  in
+  let runs = Atomic.make 0 and mismatches = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  let worker skew =
+    let pairs = List.combine jobs expected in
+    let n = List.length pairs in
+    let k = ref skew in
+    while Unix.gettimeofday () < deadline do
+      let job, want = List.nth pairs (!k mod n) in
+      if not (same (profile job) want) then Atomic.incr mismatches;
+      Atomic.incr runs;
+      incr k
+    done
+  in
+  (* Domains, not systhreads: systhreads switch only at poll points, so
+     an operand frame shared by mistake would almost never be caught
+     mid-instruction; two domains run truly in parallel. *)
+  Sim.Backend.set_scope_key (fun () -> (Domain.self () :> int));
+  Fun.protect ~finally:(fun () -> Sim.Backend.set_scope_key (fun () -> 0))
+  @@ fun () ->
+  List.iter Domain.join
+    (List.map (fun k -> Domain.spawn (fun () -> worker k)) [ 0; 1 ]);
+  check Alcotest.bool "both runners ran" true (Atomic.get runs >= 2);
+  check Alcotest.int "every concurrent run matches the serial one" 0
+    (Atomic.get mismatches)
+
 let () =
   Alcotest.run "sim"
     [ ( "memory",
@@ -899,6 +960,8 @@ let () =
           Alcotest.test_case "decode coverage" `Quick
             test_backend_decode_coverage;
           Alcotest.test_case "check oracle" `Quick test_backend_check_oracle;
+          Alcotest.test_case "shared extension in parallel" `Quick
+            test_backend_shared_extension_threads;
           Alcotest.test_case "selection" `Quick test_backend_selection ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest qcheck_cpu_matches_int32_oracle ] ) ]

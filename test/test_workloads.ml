@@ -246,6 +246,38 @@ let test_find () =
   | exception Not_found -> ()
   | _ -> fail "bogus name accepted"
 
+let test_find_shares_cases () =
+  (* One table per process: a name always yields the same value, and
+     [all] serves the very values [find] returns. *)
+  List.iter
+    (fun name ->
+      let c = Workloads.Suite.find name in
+      check Alcotest.bool (name ^ ": find is stable") true
+        (Workloads.Suite.find name == c);
+      check Alcotest.bool (name ^ ": all holds the found case") true
+        (List.exists (fun c' -> c' == c) (Workloads.Suite.all ())))
+    [ "gcd"; "rs_gfmac"; "custom_mix_gf"; "des" ];
+  check Alcotest.bool "all is stable" true
+    (Workloads.Suite.all () == Workloads.Suite.all ())
+
+let test_names_follow_all () =
+  let names = Workloads.Suite.names () in
+  check
+    (Alcotest.list Alcotest.string)
+    "names in all () order"
+    (List.map (fun c -> c.Core.Extract.case_name) (Workloads.Suite.all ()))
+    names;
+  check Alcotest.int "duplicate-free" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun n ->
+      check Alcotest.string ("find " ^ n) n
+        (Workloads.Suite.find n).Core.Extract.case_name)
+    names;
+  match Workloads.Suite.find "gcd " with
+  | exception Not_found -> ()
+  | _ -> fail "near-miss name accepted"
+
 (* --- Tiny-C applications ------------------------------------------------------ *)
 
 let test_c_apps_match_interpreter () =
@@ -361,7 +393,9 @@ let () =
           Alcotest.test_case "unique names" `Quick test_suite_names_unique;
           Alcotest.test_case "application order" `Quick
             test_application_suite;
-          Alcotest.test_case "find" `Quick test_find ] );
+          Alcotest.test_case "find" `Quick test_find;
+          Alcotest.test_case "find shares cases" `Quick test_find_shares_cases;
+          Alcotest.test_case "names follow all" `Quick test_names_follow_all ] );
       ( "c-apps",
         [ Alcotest.test_case "compiled = interpreted" `Quick
             test_c_apps_match_interpreter ] );
