@@ -38,6 +38,16 @@ let paper_table2 =
 let banner title =
   Format.fprintf fmt "@.=== %s ===@." title
 
+(* Every BENCH_*.json record is one document from the JSON printer plus
+   a trailing newline. *)
+module J = Obs.Json
+
+let save_record path doc =
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (J.to_string doc);
+      Out_channel.output_char oc '\n');
+  Format.fprintf fmt "(written to %s)@." path
+
 (* Characterization is shared by every experiment.  Wall clock, not
    Sys.time: with forked workers the parent's CPU time says nothing. *)
 let fit =
@@ -231,32 +241,21 @@ and characterize_bench () =
     (if par_report.Core.Run_report.jobs = 1 then " " else "s")
     par_s (two_s /. par_s) seed_two_pass_s (seed_two_pass_s /. best)
     max_rel_delta;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"characterization-engine\",\n\
-      \  \"workloads\": %d,\n\
-      \  \"seed_two_pass_seconds\": %.3f,\n\
-      \  \"two_pass_seconds\": %.6f,\n\
-      \  \"single_pass_serial_seconds\": %.6f,\n\
-      \  \"single_pass_parallel_seconds\": %.6f,\n\
-      \  \"parallel_jobs\": %d,\n\
-      \  \"speedup_vs_two_pass\": %.3f,\n\
-      \  \"speedup_vs_seed\": %.3f,\n\
-      \  \"max_rel_coeff_delta\": %.6g,\n\
-      \  \"total_simulations\": %d,\n\
-      \  \"run_report\": %s\n\
-       }"
-      (List.length cases) seed_two_pass_s two_s serial_s par_s
-      par_report.Core.Run_report.jobs (two_s /. best)
-      (seed_two_pass_s /. best) max_rel_delta
-      (Core.Run_report.total_simulations serial_report)
-      (Core.Run_report.to_json par_report)
-  in
-  Out_channel.with_open_text "BENCH_characterize.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_characterize.json)@."
+  save_record "BENCH_characterize.json"
+    (J.Obj
+       [ ("benchmark", J.Str "characterization-engine");
+         ("workloads", J.int (List.length cases));
+         ("seed_two_pass_seconds", J.Num seed_two_pass_s);
+         ("two_pass_seconds", J.Num two_s);
+         ("single_pass_serial_seconds", J.Num serial_s);
+         ("single_pass_parallel_seconds", J.Num par_s);
+         ("parallel_jobs", J.int par_report.Core.Run_report.jobs);
+         ("speedup_vs_two_pass", J.Num (two_s /. best));
+         ("speedup_vs_seed", J.Num (seed_two_pass_s /. best));
+         ("max_rel_coeff_delta", J.Num max_rel_delta);
+         ( "total_simulations",
+           J.int (Core.Run_report.total_simulations serial_report) );
+         ("run_report", Core.Run_report.json par_report) ])
 
 (* Design-space exploration: sweep the flagship rs-cache space twice over
    the same on-disk memo cache — cold (every simulation runs) and warm
@@ -308,37 +307,29 @@ let explore_bench () =
     warm.Core.Explore.cache_stats.Core.Eval_cache.hits
     speedup agree
     (String.concat " -> " (names cold.Core.Explore.frontier));
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"explore-memoized-sweep\",\n\
-      \  \"space\": \"rs-cache\",\n\
-      \  \"candidates\": %d,\n\
-      \  \"configs_characterized\": %d,\n\
-      \  \"cold_seconds\": %.6f,\n\
-      \  \"warm_seconds\": %.6f,\n\
-      \  \"warm_speedup\": %.3f,\n\
-      \  \"cold_simulations\": %d,\n\
-      \  \"warm_simulations\": %d,\n\
-      \  \"warm_cache_hits\": %d,\n\
-      \  \"cache_errors\": %d,\n\
-      \  \"bit_identical\": %b,\n\
-      \  \"pareto\": [%s]\n\
-       }"
-      (List.length candidates) cold.Core.Explore.configs_characterized
-      cold_s warm_s speedup cold.Core.Explore.simulations
-      warm.Core.Explore.simulations
-      warm.Core.Explore.cache_stats.Core.Eval_cache.hits
-      (cold.Core.Explore.cache_stats.Core.Eval_cache.errors
-       + warm.Core.Explore.cache_stats.Core.Eval_cache.errors)
-      agree
-      (String.concat ", "
-         (List.map (Printf.sprintf "%S") (names cold.Core.Explore.frontier)))
-  in
-  Out_channel.with_open_text "BENCH_explore.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_explore.json)@.";
+  save_record "BENCH_explore.json"
+    (J.Obj
+       [ ("benchmark", J.Str "explore-memoized-sweep");
+         ("space", J.Str "rs-cache");
+         ("candidates", J.int (List.length candidates));
+         ( "configs_characterized",
+           J.int cold.Core.Explore.configs_characterized );
+         ("cold_seconds", J.Num cold_s);
+         ("warm_seconds", J.Num warm_s);
+         ("warm_speedup", J.Num speedup);
+         ("cold_simulations", J.int cold.Core.Explore.simulations);
+         ("warm_simulations", J.int warm.Core.Explore.simulations);
+         ( "warm_cache_hits",
+           J.int warm.Core.Explore.cache_stats.Core.Eval_cache.hits );
+         ( "cache_errors",
+           J.int
+             (cold.Core.Explore.cache_stats.Core.Eval_cache.errors
+             + warm.Core.Explore.cache_stats.Core.Eval_cache.errors) );
+         ("bit_identical", J.Bool agree);
+         ( "pareto",
+           J.Arr
+             (List.map (fun n -> J.Str n) (names cold.Core.Explore.frontier))
+         ) ]);
   (* Best-effort cleanup of the scratch cache. *)
   (try
      Array.iter
@@ -419,41 +410,27 @@ let cache_bench () =
     (List.length verify_r.Core.Eval_cache.v_corrupt)
     prune_s prune_r.Core.Eval_cache.p_kept prune_r.Core.Eval_cache.p_evicted
     rewarm_s rewarm.Core.Explore.simulations rewarm_identical;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"cache-lifecycle\",\n\
-      \  \"space\": \"rs-cache\",\n\
-      \  \"entries\": %d,\n\
-      \  \"bytes\": %d,\n\
-      \  \"cold_seconds\": %.6f,\n\
-      \  \"warm_seconds\": %.6f,\n\
-      \  \"warm_simulations\": %d,\n\
-      \  \"warm_identical\": %b,\n\
-      \  \"gc_tmp_removed\": %d,\n\
-      \  \"gc_foreign_removed\": %d,\n\
-      \  \"verify_ok\": %d,\n\
-      \  \"verify_corrupt\": %d,\n\
-      \  \"prune_seconds\": %.6f,\n\
-      \  \"prune_kept\": %d,\n\
-      \  \"prune_evicted\": %d,\n\
-      \  \"rewarm_seconds\": %.6f,\n\
-      \  \"rewarm_simulations\": %d,\n\
-      \  \"rewarm_identical\": %b\n\
-       }"
-      populated.Core.Eval_cache.d_entries populated.Core.Eval_cache.d_bytes
-      cold_s warm_s warm.Core.Explore.simulations warm_identical
-      gc_r.Core.Eval_cache.g_tmp_removed
-      gc_r.Core.Eval_cache.g_foreign_removed
-      verify_r.Core.Eval_cache.v_ok
-      (List.length verify_r.Core.Eval_cache.v_corrupt)
-      prune_s prune_r.Core.Eval_cache.p_kept prune_r.Core.Eval_cache.p_evicted
-      rewarm_s rewarm.Core.Explore.simulations rewarm_identical
-  in
-  Out_channel.with_open_text "BENCH_cache.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_cache.json)@.";
+  save_record "BENCH_cache.json"
+    (J.Obj
+       [ ("benchmark", J.Str "cache-lifecycle");
+         ("space", J.Str "rs-cache");
+         ("entries", J.int populated.Core.Eval_cache.d_entries);
+         ("bytes", J.int populated.Core.Eval_cache.d_bytes);
+         ("cold_seconds", J.Num cold_s);
+         ("warm_seconds", J.Num warm_s);
+         ("warm_simulations", J.int warm.Core.Explore.simulations);
+         ("warm_identical", J.Bool warm_identical);
+         ("gc_tmp_removed", J.int gc_r.Core.Eval_cache.g_tmp_removed);
+         ("gc_foreign_removed", J.int gc_r.Core.Eval_cache.g_foreign_removed);
+         ("verify_ok", J.int verify_r.Core.Eval_cache.v_ok);
+         ( "verify_corrupt",
+           J.int (List.length verify_r.Core.Eval_cache.v_corrupt) );
+         ("prune_seconds", J.Num prune_s);
+         ("prune_kept", J.int prune_r.Core.Eval_cache.p_kept);
+         ("prune_evicted", J.int prune_r.Core.Eval_cache.p_evicted);
+         ("rewarm_seconds", J.Num rewarm_s);
+         ("rewarm_simulations", J.int rewarm.Core.Explore.simulations);
+         ("rewarm_identical", J.Bool rewarm_identical) ]);
   (try
      Array.iter
        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
@@ -470,10 +447,7 @@ let accuracy_bench () =
     Core.Audit.run (model ()) (Workloads.Suite.applications ())
   in
   Format.fprintf fmt "%a@." Core.Audit.pp report;
-  Out_channel.with_open_text "BENCH_accuracy.json" (fun oc ->
-      Out_channel.output_string oc (Core.Audit.to_json report);
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_accuracy.json)@."
+  save_record "BENCH_accuracy.json" (Core.Audit.json report)
 
 (* Hotspot profiler: conservation of the per-block decomposition over
    every application, then attached-vs-detached simulation wall time on
@@ -516,28 +490,19 @@ let profile_bench () =
      (budget %.1fx: %s)@."
     repeats detached_s attached_s overhead budget
     (if overhead <= budget then "ok" else "EXCEEDED");
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"profiler-overhead\",\n\
-      \  \"workload\": \"gcd\",\n\
-      \  \"repeats\": %d,\n\
-      \  \"detached_seconds\": %.6f,\n\
-      \  \"attached_seconds\": %.6f,\n\
-      \  \"overhead_ratio\": %.4f,\n\
-      \  \"overhead_budget\": %.1f,\n\
-      \  \"within_budget\": %b,\n\
-      \  \"applications_checked\": %d,\n\
-      \  \"worst_cycle_gap\": %g,\n\
-      \  \"worst_energy_gap_rel\": %.6g\n\
-       }"
-      repeats detached_s attached_s overhead budget (overhead <= budget)
-      (List.length apps) !worst_cycle_gap !worst_energy_gap
-  in
-  Out_channel.with_open_text "BENCH_profile.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_profile.json)@."
+  save_record "BENCH_profile.json"
+    (J.Obj
+       [ ("benchmark", J.Str "profiler-overhead");
+         ("workload", J.Str "gcd");
+         ("repeats", J.int repeats);
+         ("detached_seconds", J.Num detached_s);
+         ("attached_seconds", J.Num attached_s);
+         ("overhead_ratio", J.Num overhead);
+         ("overhead_budget", J.Num budget);
+         ("within_budget", J.Bool (overhead <= budget));
+         ("applications_checked", J.int (List.length apps));
+         ("worst_cycle_gap", J.Num !worst_cycle_gap);
+         ("worst_energy_gap_rel", J.Num !worst_energy_gap) ])
 
 (* Threaded-code execution backend: first the bit-identity oracle (the
    --backend check dual run) over every application, then interp vs
@@ -623,33 +588,24 @@ let sim_bench () =
     stretch
     (if geomean >= stretch then "ok" else "not reached");
   let row_json (name, ins, ni, nt, s) =
-    Printf.sprintf
-      "{\"name\": \"%s\", \"instructions\": %d, \
-       \"interp_ns_per_instr\": %.2f, \"threaded_ns_per_instr\": %.2f, \
-       \"speedup\": %.4f}"
-      name ins ni nt s
+    J.Obj
+      [ ("name", J.Str name);
+        ("instructions", J.int ins);
+        ("interp_ns_per_instr", J.Num ni);
+        ("threaded_ns_per_instr", J.Num nt);
+        ("speedup", J.Num s) ]
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"sim-backend\",\n\
-      \  \"equivalence_checks\": %d,\n\
-      \  \"applications_checked\": %d,\n\
-      \  \"programs\": %d,\n\
-      \  \"geomean_speedup\": %.4f,\n\
-      \  \"gate_speedup\": %.1f,\n\
-      \  \"stretch_speedup\": %.1f,\n\
-      \  \"gate_pass\": %b,\n\
-      \  \"rows\": [\n    %s\n  ]\n\
-       }"
-      checks (List.length apps) (List.length rows) geomean gate stretch
-      (geomean >= gate)
-      (String.concat ",\n    " (List.map row_json rows))
-  in
-  Out_channel.with_open_text "BENCH_sim.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_sim.json)@.";
+  save_record "BENCH_sim.json"
+    (J.Obj
+       [ ("benchmark", J.Str "sim-backend");
+         ("equivalence_checks", J.int checks);
+         ("applications_checked", J.int (List.length apps));
+         ("programs", J.int (List.length rows));
+         ("geomean_speedup", J.Num geomean);
+         ("gate_speedup", J.Num gate);
+         ("stretch_speedup", J.Num stretch);
+         ("gate_pass", J.Bool (geomean >= gate));
+         ("rows", J.Arr (List.map row_json rows)) ]);
   if geomean < gate then exit 1
 
 (* Serve observability overhead: two stub-characterized daemons side by
@@ -774,24 +730,16 @@ let serve_overhead () =
        %.3fx (budget %.2fx: %s)@."
       !best_plain !best_traced ratio budget
       (if ratio <= budget then "ok" else "OVER");
-    let json =
-      Printf.sprintf
-        "{\n\
-        \  \"benchmark\": \"serve-overhead\",\n\
-        \  \"samples_per_batch\": %d,\n\
-        \  \"reps\": %d,\n\
-        \  \"untraced_us\": %.2f,\n\
-        \  \"traced_us\": %.2f,\n\
-        \  \"ratio\": %.4f,\n\
-        \  \"budget\": %.2f,\n\
-        \  \"within_budget\": %b\n\
-         }"
-        n reps !best_plain !best_traced ratio budget (ratio <= budget)
-    in
-    Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-        Out_channel.output_string oc json;
-        Out_channel.output_char oc '\n');
-    Format.fprintf fmt "(written to BENCH_serve.json)@.";
+    save_record "BENCH_serve.json"
+      (J.Obj
+         [ ("benchmark", J.Str "serve-overhead");
+           ("samples_per_batch", J.int n);
+           ("reps", J.int reps);
+           ("untraced_us", J.Num !best_plain);
+           ("traced_us", J.Num !best_traced);
+           ("ratio", J.Num ratio);
+           ("budget", J.Num budget);
+           ("within_budget", J.Bool (ratio <= budget)) ]);
     ratio <= budget
   in
   if not within_budget then exit 1

@@ -439,12 +439,12 @@ let attribute_cmd =
     in
     let ref_pj = Power.Estimator.total_energy est in
     if json then
-      Format.fprintf fmt
-        "{\"attribution\": %s,@ \"reference_energy_pj\": %.6f,@ \
-         \"reference_waveform\": %s}@."
-        (Core.Attribution.to_json b)
-        ref_pj
-        (Obs.Waveform.to_json ref_wf)
+      Format.fprintf fmt "%s@."
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              [ ("attribution", Core.Attribution.json b);
+                ("reference_energy_pj", Obs.Json.Num ref_pj);
+                ("reference_waveform", Obs.Waveform.json ref_wf) ]))
     else begin
       Format.fprintf fmt "%a@." Core.Attribution.pp b;
       Format.fprintf fmt
@@ -877,17 +877,20 @@ let cache_cmd =
       let s = Core.Eval_cache.disk_stats dir in
       let now = Unix.gettimeofday () in
       if json then
-        Format.fprintf fmt
-          "{\"entries\": %d, \"bytes\": %d, \"oldest_age_seconds\": %s, \
-           \"newest_age_seconds\": %s, \"index_rebuilt\": %b}@."
-          s.Core.Eval_cache.d_entries s.Core.Eval_cache.d_bytes
-          (match s.Core.Eval_cache.d_oldest with
-           | None -> "null"
-           | Some t -> Printf.sprintf "%.1f" (Float.max 0.0 (now -. t)))
-          (match s.Core.Eval_cache.d_newest with
-           | None -> "null"
-           | Some t -> Printf.sprintf "%.1f" (Float.max 0.0 (now -. t)))
-          s.Core.Eval_cache.d_index_rebuilt
+        let module J = Obs.Json in
+        let age_s = function
+          | None -> J.Null
+          | Some t -> J.Num (Float.max 0.0 (now -. t))
+        in
+        Format.fprintf fmt "%s@."
+          (J.to_string
+             (J.Obj
+                [ ("entries", J.int s.Core.Eval_cache.d_entries);
+                  ("bytes", J.int s.Core.Eval_cache.d_bytes);
+                  ("oldest_age_seconds", age_s s.Core.Eval_cache.d_oldest);
+                  ("newest_age_seconds", age_s s.Core.Eval_cache.d_newest);
+                  ("index_rebuilt", J.Bool s.Core.Eval_cache.d_index_rebuilt)
+                ]))
       else
         Format.fprintf fmt
           "%s: %d entr%s, %s@.least recently used: %s@.most recently \
@@ -1233,7 +1236,7 @@ let serve_cmd =
           client_call ~socket ~timeout (Obs.Json.Obj [ ("op", Obs.Json.Str "ping") ])
         in
         if not (response_ok resp) then die "ping refused";
-        print_endline (Serve.Protocol.json_to_string resp)
+        print_endline (Obs.Json.to_string resp)
       end;
       if status then begin
         let resp =
@@ -1241,7 +1244,7 @@ let serve_cmd =
             (Obs.Json.Obj [ ("op", Obs.Json.Str "status") ])
         in
         if not (response_ok resp) then die "status refused";
-        print_endline (Serve.Protocol.json_to_string resp)
+        print_endline (Obs.Json.to_string resp)
       end;
       (match call with
        | [] -> ()
@@ -1263,7 +1266,7 @@ let serve_cmd =
                 List.iter
                   (fun req ->
                     print_endline
-                      (Serve.Protocol.json_to_string
+                      (Obs.Json.to_string
                          (Serve.Client.session_call ~timeout_s:timeout session
                             req)))
                   reqs)

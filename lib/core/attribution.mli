@@ -92,5 +92,9 @@ val check_sum : breakdown -> float
 val pp : Format.formatter -> breakdown -> unit
 (** Per-variable table (uJ alongside pJ) followed by the waveform. *)
 
+val json : breakdown -> Obs.Json.t
+(** The breakdown and its waveform as a JSON value.  Units are explicit:
+    all energies are picojoules. *)
+
 val to_json : breakdown -> string
-(** Units are explicit: all energies are picojoules. *)
+(** {!json}, printed. *)

@@ -142,48 +142,36 @@ let run ?jobs ?cache ?(config = Sim.Config.default) model cases =
 
 (* --- JSON round trip ------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Json
 
-let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"format\": \"xenergy-accuracy\",\n";
-  Buffer.add_string b "  \"version\": 1,\n";
-  Buffer.add_string b
-    "  \"units\": {\"error\": \"percent\", \"energy_pj\": \"picojoules\"},\n";
-  Printf.bprintf b "  \"mean_abs_error_percent\": %.6f,\n" r.a_mean_abs;
-  Printf.bprintf b "  \"max_abs_error_percent\": %.6f,\n" r.a_max_abs;
-  Printf.bprintf b "  \"rms_error_percent\": %.6f,\n" r.a_rms;
-  Printf.bprintf b "  \"wall_seconds\": %.6f,\n" r.a_wall_seconds;
-  Buffer.add_string b "  \"programs\": [\n";
-  List.iteri
-    (fun i row ->
-      Printf.bprintf b
-        "    {\"name\": \"%s\", \"estimate_pj\": %.6f, \"reference_pj\": \
-         %.6f, \"error_percent\": %.6f, \"cycles\": %d, \"cached\": %b}%s\n"
-        (json_escape row.a_name) row.a_estimate_pj row.a_reference_pj
-        row.a_error_percent row.a_cycles row.a_cached
-        (if i = List.length r.a_rows - 1 then "" else ","))
-    r.a_rows;
-  Buffer.add_string b "  ]\n}";
-  Buffer.contents b
+let json r =
+  let row a =
+    J.Obj
+      [ ("name", J.Str a.a_name);
+        ("estimate_pj", J.Num a.a_estimate_pj);
+        ("reference_pj", J.Num a.a_reference_pj);
+        ("error_percent", J.Num a.a_error_percent);
+        ("cycles", J.int a.a_cycles);
+        ("cached", J.Bool a.a_cached) ]
+  in
+  J.Obj
+    [ ("format", J.Str "xenergy-accuracy");
+      ("version", J.int 1);
+      ( "units",
+        J.Obj [ ("error", J.Str "percent"); ("energy_pj", J.Str "picojoules") ]
+      );
+      ("mean_abs_error_percent", J.Num r.a_mean_abs);
+      ("max_abs_error_percent", J.Num r.a_max_abs);
+      ("rms_error_percent", J.Num r.a_rms);
+      ("wall_seconds", J.Num r.a_wall_seconds);
+      ("programs", J.Arr (List.map row r.a_rows)) ]
+
+let to_json r = J.to_string (json r)
 
 let of_json s =
   let j = Obs.Json.parse s in
   let num f = Obs.Json.(to_float (member f j)) in
-  if Obs.Json.(to_string (member "format" j)) <> "xenergy-accuracy" then
+  if Obs.Json.(to_str (member "format" j)) <> "xenergy-accuracy" then
     failwith "accuracy report: bad format";
   if Obs.Json.(to_int (member "version" j)) <> 1 then
     failwith "accuracy report: unsupported version";
@@ -191,7 +179,7 @@ let of_json s =
     Obs.Json.(to_list (member "programs" j))
     |> List.map (fun p ->
            let num f = Obs.Json.(to_float (member f p)) in
-           { a_name = Obs.Json.(to_string (member "name" p));
+           { a_name = Obs.Json.(to_str (member "name" p));
              a_estimate_pj = num "estimate_pj";
              a_reference_pj = num "reference_pj";
              a_error_percent = num "error_percent";

@@ -49,10 +49,13 @@ val run :
     flushed before returning.
     @raise Invalid_argument on an empty case list. *)
 
-val to_json : report -> string
+val json : report -> Obs.Json.t
 (** Stable machine-readable document (format ["xenergy-accuracy"],
     version 1, units stated): summary statistics plus one row per
     program.  This is what [BENCH_accuracy.json] holds. *)
+
+val to_json : report -> string
+(** {!json}, printed. *)
 
 val of_json : string -> report
 (** Parse {!to_json} output (e.g. a committed baseline).

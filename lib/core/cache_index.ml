@@ -46,36 +46,22 @@ let entries t =
 
 (* --- On-disk document ----------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Json
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"format\": \"xenergy-cache-index\",\n";
-  Buffer.add_string b "  \"version\": 1,\n";
-  Buffer.add_string b "  \"entries\": [";
-  List.iteri
-    (fun i m ->
-      Printf.bprintf b "%s\n    {\"key\": \"%s\", \"name\": \"%s\", \
-                        \"size\": %d, \"last_used\": %.6f}"
-        (if i = 0 then "" else ",")
-        m.m_key (json_escape m.m_name) m.m_size m.m_last_used)
-    (entries t);
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let entry m =
+    J.Obj
+      [ ("key", J.Str m.m_key);
+        ("name", J.Str m.m_name);
+        ("size", J.int m.m_size);
+        ("last_used", J.Num m.m_last_used) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("format", J.Str "xenergy-cache-index");
+         ("version", J.int 1);
+         ("entries", J.Arr (List.map entry (entries t))) ])
+  ^ "\n"
 
 let load dir =
   match
@@ -85,18 +71,18 @@ let load dir =
   | s -> (
     match
       let j = Obs.Json.parse s in
-      if Obs.Json.(to_string (member "format" j)) <> "xenergy-cache-index"
+      if Obs.Json.(to_str (member "format" j)) <> "xenergy-cache-index"
       then failwith "index: bad format";
       if Obs.Json.(to_int (member "version" j)) <> 1 then
         failwith "index: unsupported version";
       let t = create () in
       List.iter
         (fun e ->
-          let key = Obs.Json.(to_string (member "key" e)) in
+          let key = Obs.Json.(to_str (member "key" e)) in
           if not (is_hex_digest key) then failwith "index: bad key";
           record t
             { m_key = key;
-              m_name = Obs.Json.(to_string (member "name" e));
+              m_name = Obs.Json.(to_str (member "name" e));
               m_size = Obs.Json.(to_int (member "size" e));
               m_last_used = Obs.Json.(to_float (member "last_used" e)) })
         Obs.Json.(to_list (member "entries" j));

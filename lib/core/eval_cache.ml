@@ -87,52 +87,35 @@ let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
 
 (* --- On-disk format ------------------------------------------------------ *)
 
-(* %.17g prints enough digits that float_of_string recovers the exact
-   bits: a warm (disk) sweep is bit-identical to the cold one.  Non-
-   finite values have no JSON representation and would turn into a
-   permanent parse error on every warm read — refuse them here, so a
-   bad value fails fast at store time (error-counted) instead of
-   poisoning the entry on disk. *)
-let float17 x =
+(* The printer's %.17g lets float_of_string recover the exact bits: a
+   warm (disk) sweep is bit-identical to the cold one.  Non-finite
+   values would print as null and turn into a permanent parse error on
+   every warm read — refuse them here, so a bad value fails fast at
+   store time (error-counted) instead of poisoning the entry on disk. *)
+let finite x =
   if not (Float.is_finite x) then failwith "cache: non-finite value";
-  Printf.sprintf "%.17g" x
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  Obs.Json.Num x
 
 let entry_to_json ~key:k e =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"format\": \"xenergy-eval-cache\",\n";
-  Buffer.add_string b "  \"version\": 1,\n";
-  Printf.bprintf b "  \"key\": \"%s\",\n" k;
-  Printf.bprintf b "  \"name\": \"%s\",\n" (json_escape e.e_name);
-  Printf.bprintf b "  \"cycles\": %d,\n" e.e_cycles;
-  Printf.bprintf b "  \"instructions\": %d,\n" e.e_instructions;
-  Printf.bprintf b "  \"stall_cycles\": %d,\n" e.e_stall_cycles;
-  Printf.bprintf b "  \"measured_pj\": %s,\n"
-    (match e.e_measured_pj with None -> "null" | Some x -> float17 x);
-  Printf.bprintf b "  \"variables\": [%s]\n"
-    (String.concat ", "
-       (Array.to_list (Array.map float17 e.e_variables)));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let module J = Obs.Json in
+  J.to_string
+    (J.Obj
+       [ ("format", J.Str "xenergy-eval-cache");
+         ("version", J.int 1);
+         ("key", J.Str k);
+         ("name", J.Str e.e_name);
+         ("cycles", J.int e.e_cycles);
+         ("instructions", J.int e.e_instructions);
+         ("stall_cycles", J.int e.e_stall_cycles);
+         ( "measured_pj",
+           match e.e_measured_pj with None -> J.Null | Some x -> finite x );
+         ( "variables",
+           J.Arr (Array.to_list (Array.map finite e.e_variables)) ) ])
+  ^ "\n"
 
 let entry_of_json ~expect_key s =
   let j = Obs.Json.parse s in
-  let str f = Obs.Json.(to_string (member f j)) in
+  let str f = Obs.Json.(to_str (member f j)) in
   let int f = Obs.Json.(to_int (member f j)) in
   if str "format" <> "xenergy-eval-cache" then failwith "cache: bad format";
   if int "version" <> 1 then failwith "cache: unsupported version";

@@ -409,70 +409,52 @@ let evaluate ?jobs ?cache ?(progress = fun _ -> ()) ?explain ?profile_top
 let on_frontier o p = List.memq p o.frontier
 
 let to_json o =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    "  \"units\": {\"energy_pj\": \"picojoules\", \"energy_uj\": \
-     \"microjoules\", \"wall_seconds\": \"seconds\"},\n";
-  Printf.bprintf b "  \"candidates\": %d,\n" (List.length o.points);
-  Printf.bprintf b "  \"configs_characterized\": %d,\n"
-    o.configs_characterized;
-  Printf.bprintf b "  \"simulations\": %d,\n" o.simulations;
-  Printf.bprintf b
-    "  \"cache\": {\"hits\": %d, \"misses\": %d, \"errors\": %d, \
-     \"stores\": %d},\n"
-    o.cache_stats.Eval_cache.hits o.cache_stats.Eval_cache.misses
-    o.cache_stats.Eval_cache.errors o.cache_stats.Eval_cache.stores;
-  Printf.bprintf b "  \"wall_seconds\": %.6f,\n" o.wall_seconds;
-  Buffer.add_string b "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    {\"name\": \"%s\", \"cycles\": %d, \"instructions\": %d, \
-         \"energy_pj\": %.6f, \"energy_uj\": %.9f, \"cached\": %b, \
-         \"pareto\": %b}%s\n"
-        p.pt_name p.pt_cycles p.pt_instructions p.pt_energy_pj p.pt_energy_uj
-        p.pt_cached (on_frontier o p)
-        (if i = List.length o.points - 1 then "" else ","))
-    o.points;
-  Buffer.add_string b "  ],\n";
-  Printf.bprintf b "  \"pareto\": [%s]%s\n"
-    (String.concat ", "
-       (List.map (fun p -> Printf.sprintf "\"%s\"" p.pt_name) o.frontier))
-    (if o.explained = [] && o.profiled = [] then "" else ",");
-  if o.profiled <> [] then begin
-    Buffer.add_string b "  \"profiles\": {\n";
-    List.iteri
-      (fun i (name, r) ->
-        Printf.bprintf b "    \"%s\": %s%s\n" name
-          (Profiler.to_json ~top:o.profile_top r)
-          (if i = List.length o.profiled - 1 then "" else ","))
-      o.profiled;
-    Printf.bprintf b "  }%s\n" (if o.explained = [] then "" else ",")
-  end;
-  if o.explained <> [] then begin
-    Buffer.add_string b "  \"explained\": {\n";
-    List.iteri
-      (fun i (name, rows) ->
-        Printf.bprintf b "    \"%s\": [\n" name;
-        List.iteri
-          (fun j (r : Attribution.row) ->
-            Printf.bprintf b
-              "      {\"variable\": \"%s\", \"count\": %.6f, \
-               \"coefficient_pj\": %.6f, \"energy_pj\": %.6f, \
-               \"share\": %.6f}%s\n"
-              (Variables.name r.Attribution.variable)
-              r.Attribution.count r.Attribution.coefficient_pj
-              r.Attribution.energy_pj r.Attribution.share
-              (if j = List.length rows - 1 then "" else ","))
-          rows;
-        Printf.bprintf b "    ]%s\n"
-          (if i = List.length o.explained - 1 then "" else ","))
-      o.explained;
-    Buffer.add_string b "  }\n"
-  end;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let point p =
+    J.Obj
+      [ ("name", J.Str p.pt_name);
+        ("cycles", J.int p.pt_cycles);
+        ("instructions", J.int p.pt_instructions);
+        ("energy_pj", J.Num p.pt_energy_pj);
+        ("energy_uj", J.Num p.pt_energy_uj);
+        ("cached", J.Bool p.pt_cached);
+        ("pareto", J.Bool (on_frontier o p)) ]
+  in
+  let explained_row (r : Attribution.row) =
+    J.Obj
+      [ ("variable", J.Str (Variables.name r.Attribution.variable));
+        ("count", J.Num r.Attribution.count);
+        ("coefficient_pj", J.Num r.Attribution.coefficient_pj);
+        ("energy_pj", J.Num r.Attribution.energy_pj);
+        ("share", J.Num r.Attribution.share) ]
+  in
+  let section key items value =
+    if items = [] then []
+    else [ (key, J.Obj (List.map (fun (name, x) -> (name, value x)) items)) ]
+  in
+  let st = o.cache_stats in
+  J.to_string
+    (J.Obj
+       ([ ( "units",
+            J.Obj
+              [ ("energy_pj", J.Str "picojoules");
+                ("energy_uj", J.Str "microjoules");
+                ("wall_seconds", J.Str "seconds") ] );
+          ("candidates", J.int (List.length o.points));
+          ("configs_characterized", J.int o.configs_characterized);
+          ("simulations", J.int o.simulations);
+          ( "cache",
+            J.Obj
+              [ ("hits", J.int st.Eval_cache.hits);
+                ("misses", J.int st.Eval_cache.misses);
+                ("errors", J.int st.Eval_cache.errors);
+                ("stores", J.int st.Eval_cache.stores) ] );
+          ("wall_seconds", J.Num o.wall_seconds);
+          ("points", J.Arr (List.map point o.points));
+          ("pareto", J.Arr (List.map (fun p -> J.Str p.pt_name) o.frontier)) ]
+       @ section "profiles" o.profiled (Profiler.json ~top:o.profile_top)
+       @ section "explained" o.explained (fun rows ->
+             J.Arr (List.map explained_row rows))))
 
 let to_csv ?(pareto_only = false) o =
   let b = Buffer.create 512 in

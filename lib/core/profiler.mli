@@ -124,7 +124,10 @@ val folded_lines : ?energy:bool -> report -> string
     counts are cycles, or rounded picojoules with [~energy:true].
     Feed to a flame-graph renderer. *)
 
+val json : ?top:int -> report -> Obs.Json.t
+(** Full report as a JSON value (all executed blocks unless [top] is
+    given — conservation checks need the complete set); energies in
+    picojoules, conservation gaps included. *)
+
 val to_json : ?top:int -> report -> string
-(** Full report as JSON (all executed blocks unless [top] is given —
-    conservation checks need the complete set); energies in picojoules,
-    conservation gaps included. *)
+(** {!json}, printed. *)

@@ -65,53 +65,49 @@ let pp ppf t =
       (if t.parallel.recomputed_slices = 1 then "" else "s");
   Format.fprintf ppf "@]"
 
-(* Hand-rolled JSON: the report is flat and numeric, no dependency is
-   worth it.  Units are stated explicitly because the pretty-printer
-   shows uJ while the JSON carries pJ. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Json
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"name\": \"%s\", \"wall_seconds\": %.6f, \"cycles\": %d, \
-     \"instructions\": %d, \"icache_misses\": %d, \"dcache_misses\": %d, \
-     \"stall_cycles\": %d, \"interlocks\": %d, \"energy_pj\": %.6f, \
-     \"simulations\": %d}"
-    (json_escape e.ename) e.wall_seconds e.cycles e.instructions
-    e.icache_misses e.dcache_misses e.stall_cycles e.interlocks e.energy_pj
-    e.simulations
+(* Units are stated explicitly because the pretty-printer shows uJ while
+   the JSON carries pJ. *)
+let json t =
+  let entry e =
+    J.Obj
+      [ ("name", J.Str e.ename);
+        ("wall_seconds", J.Num e.wall_seconds);
+        ("cycles", J.int e.cycles);
+        ("instructions", J.int e.instructions);
+        ("icache_misses", J.int e.icache_misses);
+        ("dcache_misses", J.int e.dcache_misses);
+        ("stall_cycles", J.int e.stall_cycles);
+        ("interlocks", J.int e.interlocks);
+        ("energy_pj", J.Num e.energy_pj);
+        ("simulations", J.int e.simulations) ]
+  in
+  J.Obj
+    [ ( "units",
+        J.Obj
+          [ ("energy_pj", J.Str "picojoules");
+            ("wall_seconds", J.Str "seconds");
+            ("total_seconds", J.Str "seconds") ] );
+      ("jobs", J.int t.jobs);
+      ("sim_backend", J.Str t.sim_backend);
+      ("total_seconds", J.Num t.total_seconds);
+      ("total_simulations", J.int (total_simulations t));
+      ("total_energy_pj", J.Num (total_energy_pj t));
+      ( "parallel",
+        J.Obj
+          [ ("serial_fallbacks", J.int t.parallel.serial_fallbacks);
+            ("failed_forks", J.int t.parallel.failed_forks);
+            ("recomputed_slices", J.int t.parallel.recomputed_slices) ] );
+      ("workloads", J.Arr (List.map entry t.entries)) ]
 
-let to_json t =
-  Printf.sprintf
-    "{\n  \"units\": {\"energy_pj\": \"picojoules\", \"wall_seconds\": \
-     \"seconds\", \"total_seconds\": \"seconds\"},\n  \"jobs\": %d,\n  \
-     \"sim_backend\": \"%s\",\n  \
-     \"total_seconds\": %.6f,\n  \"total_simulations\": %d,\n  \
-     \"total_energy_pj\": %.6f,\n  \"parallel\": {\"serial_fallbacks\": %d, \
-     \"failed_forks\": %d, \"recomputed_slices\": %d},\n  \
-     \"workloads\": [\n    %s\n  ]\n}"
-    t.jobs (json_escape t.sim_backend) t.total_seconds (total_simulations t)
-    (total_energy_pj t)
-    t.parallel.serial_fallbacks t.parallel.failed_forks
-    t.parallel.recomputed_slices
-    (String.concat ",\n    " (List.map entry_to_json t.entries))
+let to_json t = J.to_string (json t)
 
 let of_json s =
   let j = Obs.Json.parse s in
   let mem k j = Obs.Json.member k j in
   let entry e =
-    { ename = Obs.Json.to_string (mem "name" e);
+    { ename = Obs.Json.to_str (mem "name" e);
       wall_seconds = Obs.Json.to_float (mem "wall_seconds" e);
       cycles = Obs.Json.to_int (mem "cycles" e);
       instructions = Obs.Json.to_int (mem "instructions" e);
@@ -129,7 +125,7 @@ let of_json s =
     match j with
     | Obs.Json.Obj fields -> (
       match List.assoc_opt "sim_backend" fields with
-      | Some v -> Obs.Json.to_string v
+      | Some v -> Obs.Json.to_str v
       | None -> "interp")
     | _ -> "interp"
   in

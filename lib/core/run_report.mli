@@ -55,13 +55,16 @@ val total_energy_pj : t -> float
 val pp : Format.formatter -> t -> unit
 (** Human-readable table (energies in uJ). *)
 
+val json : t -> Obs.Json.t
+(** The report as a JSON value (an explicit ["units"] object states the
+    energy and time units), for embedding in a larger document. *)
+
 val to_json : t -> string
-(** The report as a JSON document (an explicit ["units"] object states
-    the energy and time units). *)
+(** {!json}, printed. *)
 
 val of_json : string -> t
-(** Parse a document produced by {!to_json} (round-trip safe up to the
-    emitter's 1e-6 float formatting).
+(** Parse a document produced by {!to_json}; finite floats round-trip
+    exactly.
     @raise Obs.Json.Parse_error on malformed input. *)
 
 val save : string -> t -> unit

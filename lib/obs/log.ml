@@ -117,48 +117,24 @@ let init_from_env () =
 
 let enabled () = !sink <> None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let arg_json = function
-  | Trace.S s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Trace.I i -> string_of_int i
-  | Trace.F f ->
-    (* JSON numbers must be finite. *)
-    if Float.is_nan f || Float.abs f = Float.infinity then "null"
-    else Printf.sprintf "%.6g" f
-  | Trace.B b -> if b then "true" else "false"
-
 let event ?(level = Info) name fields =
   match !sink with
   | None -> ()
   | Some _ when severity level >= severity !min_level ->
-    let b = Buffer.create 160 in
-    Printf.bprintf b
-      "{\"ts_us\": %.3f, \"level\": \"%s\", \"tid\": %d, \"pid\": %d, \
-       \"event\": \"%s\""
-      (Trace.now_us ()) (level_to_string level) (Trace.tid ())
-      (Unix.getpid ()) (json_escape name);
-    (match correlation () with
-    | Some id -> Printf.bprintf b ", \"corr\": \"%s\"" (json_escape id)
-    | None -> ());
-    List.iter
-      (fun (k, v) ->
-        Printf.bprintf b ", \"%s\": %s" (json_escape k) (arg_json v))
-      fields;
-    Buffer.add_string b "}\n";
-    let line = Buffer.contents b in
+    let head =
+      [ ("ts_us", Json.Num (Trace.now_us ()));
+        ("level", Json.Str (level_to_string level));
+        ("tid", Json.int (Trace.tid ()));
+        ("pid", Json.int (Unix.getpid ()));
+        ("event", Json.Str name) ]
+    in
+    let corr =
+      match correlation () with
+      | Some id -> [ ("corr", Json.Str id) ]
+      | None -> []
+    in
+    let fields = List.map (fun (k, v) -> (k, Trace.json_of_arg v)) fields in
+    let line = Json.to_string (Json.Obj (head @ corr @ fields)) ^ "\n" in
     let m = !write_lock in
     Mutex.lock m;
     Fun.protect

@@ -217,69 +217,37 @@ let reset () =
 
 (* --- output -------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* JSON numbers must be finite. *)
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else if Float.is_nan x || Float.abs x = Float.infinity then "0"
-  else Printf.sprintf "%.9g" x
-
-let labels_json labels =
-  String.concat ", "
-    (List.map
-       (fun (k, v) ->
-         Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-       labels)
-
 let instrument_json i =
-  let head name labels help typ =
-    Printf.sprintf
-      "\"name\": \"%s\", \"type\": \"%s\", \"help\": \"%s\", \"labels\": {%s}"
-      (json_escape name) typ (json_escape help) (labels_json labels)
+  let obj name labels help typ fields =
+    Json.Obj
+      ([ ("name", Json.Str name);
+         ("type", Json.Str typ);
+         ("help", Json.Str help);
+         ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels))
+       ]
+      @ fields)
   in
   match i with
   | Counter c ->
-    Printf.sprintf "{%s, \"value\": %d}"
-      (head c.c_name c.c_labels c.c_help "counter")
-      c.c_value
+    obj c.c_name c.c_labels c.c_help "counter" [ ("value", Json.int c.c_value) ]
   | Gauge g ->
-    Printf.sprintf "{%s, \"value\": %s}"
-      (head g.g_name g.g_labels g.g_help "gauge")
-      (json_float g.g_value)
+    obj g.g_name g.g_labels g.g_help "gauge" [ ("value", Json.Num g.g_value) ]
   | Histogram h ->
+    let bucket le count = Json.Obj [ ("le", le); ("count", Json.int count) ] in
     let buckets =
-      String.concat ", "
-        (List.concat
-           [ Array.to_list
-               (Array.mapi
-                  (fun i le ->
-                    Printf.sprintf "{\"le\": %s, \"count\": %d}"
-                      (json_float le) h.h_counts.(i))
-                  h.h_bounds);
-             [ Printf.sprintf "{\"le\": \"+inf\", \"count\": %d}"
-                 h.h_counts.(Array.length h.h_bounds) ] ])
+      List.mapi (fun i le -> bucket (Json.Num le) h.h_counts.(i))
+        (Array.to_list h.h_bounds)
+      @ [ bucket (Json.Str "+inf") h.h_counts.(Array.length h.h_bounds) ]
     in
-    Printf.sprintf "{%s, \"sum\": %s, \"count\": %d, \"buckets\": [%s]}"
-      (head h.h_name h.h_labels h.h_help "histogram")
-      (json_float h.h_sum) h.h_count buckets
+    obj h.h_name h.h_labels h.h_help "histogram"
+      [ ("sum", Json.Num h.h_sum);
+        ("count", Json.int h.h_count);
+        ("buckets", Json.Arr buckets) ]
 
 let to_json () =
-  Printf.sprintf "{\n  \"metrics\": [\n    %s\n  ]\n}"
-    (String.concat ",\n    " (List.map instrument_json (instruments ())))
+  Json.to_string
+    (Json.Obj
+       [ ("metrics", Json.Arr (List.map instrument_json (instruments ()))) ])
 
 let save path =
   Out_channel.with_open_text path (fun oc ->

@@ -350,56 +350,32 @@ let drain () = List.rev_map to_event (Atomic.exchange buf [])
 
 (* --- Chrome trace-event JSON --------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let arg_json = function
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | I i -> string_of_int i
-  | F f ->
-    if Float.is_nan f || Float.abs f = Float.infinity then "0"
-    else Printf.sprintf "%.6g" f
-  | B b -> if b then "true" else "false"
+let json_of_arg = function
+  | S s -> Json.Str s
+  | I i -> Json.int i
+  | F f -> Json.Num f
+  | B b -> Json.Bool b
 
 let event_json e =
-  let args =
-    match e.ev_args with
-    | [] -> ""
-    | args ->
-      Printf.sprintf ", \"args\": {%s}"
-        (String.concat ", "
-           (List.map
-              (fun (k, v) ->
-                Printf.sprintf "\"%s\": %s" (json_escape k) (arg_json v))
-              args))
-  in
-  let dur =
-    if e.ev_ph = 'X' then Printf.sprintf ", \"dur\": %.3f" e.ev_dur else ""
-  in
-  (* Instant events need a scope; thread scope matches the lane model. *)
-  let scope = if e.ev_ph = 'i' then ", \"s\": \"t\"" else "" in
-  Printf.sprintf
-    "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": %.3f%s, \
-     \"pid\": 1, \"tid\": %d%s%s}"
-    (json_escape e.ev_name)
-    (json_escape (if e.ev_cat = "" then "xenergy" else e.ev_cat))
-    e.ev_ph e.ev_ts dur e.ev_tid scope args
+  let opt cond field = if cond then [ field ] else [] in
+  Json.Obj
+    ([ ("name", Json.Str e.ev_name);
+       ("cat", Json.Str (if e.ev_cat = "" then "xenergy" else e.ev_cat));
+       ("ph", Json.Str (String.make 1 e.ev_ph));
+       ("ts", Json.Num e.ev_ts) ]
+    @ opt (e.ev_ph = 'X') ("dur", Json.Num e.ev_dur)
+    @ [ ("pid", Json.int 1); ("tid", Json.int e.ev_tid) ]
+    (* Instant events need a scope; thread scope matches the lane model. *)
+    @ opt (e.ev_ph = 'i') ("s", Json.Str "t")
+    @ opt (e.ev_args <> [])
+        ("args",
+         Json.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) e.ev_args)))
 
 let to_json es =
-  Printf.sprintf
-    "{\n\"traceEvents\": [\n%s\n],\n\"displayTimeUnit\": \"ms\"\n}"
-    (String.concat ",\n" (List.map event_json es))
+  Json.to_string
+    (Json.Obj
+       [ ("traceEvents", Json.Arr (List.map event_json es));
+         ("displayTimeUnit", Json.Str "ms") ])
 
 let save path =
   Out_channel.with_open_text path (fun oc ->

@@ -139,7 +139,7 @@ val thread_name : tid:int -> string -> unit
 
 val emit_all : event list -> unit
 (** Append foreign (worker) events verbatim (timestamps are kept to the
-    nanosecond, the export's resolution). *)
+    nanosecond). *)
 
 val events : unit -> event list
 (** Recorded events, in recording order. *)
@@ -149,6 +149,9 @@ val clear : unit -> unit
 
 val drain : unit -> event list
 (** {!events} then {!clear}. *)
+
+val json_of_arg : arg -> Json.t
+(** An argument as a JSON value; a non-finite [F] prints as [null]. *)
 
 val to_json : event list -> string
 (** A Chrome trace-event document: [{"traceEvents": [...], ...}]. *)

@@ -34,17 +34,21 @@ let reset t =
   Array.fill t.data 0 (Array.length t.data) 0.0;
   t.used <- 0
 
-let to_json t =
-  let bs =
-    Array.to_list
-      (Array.map
-         (fun (c, e) ->
-           Printf.sprintf "{\"cycle\": %d, \"energy_pj\": %.6f}" c e)
-         (buckets t))
-  in
-  Printf.sprintf
-    "{\"bucket_cycles\": %d, \"unit\": \"pJ\", \"buckets\": [%s]}"
-    t.bucket_cycles (String.concat ", " bs)
+let json t =
+  Json.Obj
+    [ ("bucket_cycles", Json.int t.bucket_cycles);
+      ("unit", Json.Str "pJ");
+      ( "buckets",
+        Json.Arr
+          (Array.to_list
+             (Array.map
+                (fun (c, e) ->
+                  Json.Obj
+                    [ ("cycle", Json.int c);
+                      ("energy_pj", Json.Num e) ])
+                (buckets t))) ) ]
+
+let to_json t = Json.to_string (json t)
 
 let pp ppf t =
   let bs = buckets t in

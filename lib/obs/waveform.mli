@@ -28,9 +28,12 @@ val total_pj : t -> float
 val reset : t -> unit
 (** Zero all buckets, keeping the bin width. *)
 
-val to_json : t -> string
+val json : t -> Json.t
 (** [{"bucket_cycles": n, "unit": "pJ", "buckets": [{"cycle": c,
-    "energy_pj": e}, ...]}]. *)
+    "energy_pj": e}, ...]}], for embedding in a larger document. *)
+
+val to_json : t -> string
+(** {!json}, printed. *)
 
 val pp : Format.formatter -> t -> unit
 (** ASCII power-over-time rendering (one bar per bucket, downsampled to

@@ -28,7 +28,7 @@ let raw_call_text ?timeout_s s text =
       (Protocol.Frame_error "server closed the connection without a response")
 
 let raw_call ?timeout_s s req =
-  raw_call_text ?timeout_s s (Protocol.json_to_string req)
+  raw_call_text ?timeout_s s (Obs.Json.to_string req)
 
 let session_call ?timeout_s ?trace s req =
   if s.s_closed then invalid_arg "Client.session_call: session is closed";
@@ -58,9 +58,9 @@ let session_call ?timeout_s ?trace s req =
     let text =
       match req with
       | Obs.Json.Obj fields when List.mem_assoc "trace_id" fields ->
-        Protocol.json_to_string req
+        Obs.Json.to_string req
       | Obs.Json.Obj (_ :: _) when ctx.Obs.Trace.parent_id = None ->
-        let body = Protocol.json_to_string req in
+        let body = Obs.Json.to_string req in
         String.concat ""
           [ String.sub body 0 (String.length body - 1);
             ", \"trace_id\": \"";
@@ -69,12 +69,12 @@ let session_call ?timeout_s ?trace s req =
             ctx.Obs.Trace.span_id;
             "\"}" ]
       | Obs.Json.Obj fields ->
-        Protocol.json_to_string
+        Obs.Json.to_string
           (Obs.Json.Obj
              (fields
              @ [ ("trace_id", Obs.Json.Str ctx.Obs.Trace.trace_id);
                  ("parent_span_id", Obs.Json.Str ctx.Obs.Trace.span_id) ]))
-      | req -> Protocol.json_to_string req
+      | req -> Obs.Json.to_string req
     in
     let t0 = Obs.Trace.now_us () in
     let finish () =

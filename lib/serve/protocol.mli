@@ -42,8 +42,6 @@ val read_frame : ?deadline:float -> Unix.file_descr -> string option
     deadline passes mid-frame. *)
 
 val json_to_string : Obs.Json.t -> string
-(** Print a JSON value in the repository's house style: compact, keys
-    in construction order, non-finite floats as [null] (they have no
-    JSON encoding), integral floats without a fractional part and
-    everything else with enough digits to round-trip through
-    {!Obs.Json.parse} bit-exactly. *)
+(** Alias of {!Obs.Json.to_string}, the repository's one JSON printer,
+    kept so code built against this module's older printer (the
+    benchmark harness) still links. *)

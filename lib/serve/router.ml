@@ -417,7 +417,7 @@ let handle_attribute t px req =
       ("model_key", J.Str lookup.Registry.l_key);
       ("registry_hit", J.Bool lookup.Registry.l_hit);
       ("backend", J.Str (Sim.Backend.name backend));
-      ("attribution", J.parse (Core.Attribution.to_json b)) ]
+      ("attribution", Core.Attribution.json b) ]
 
 let handle_profile t px req =
   let name = str_field ~op:"profile" "workload" req in
@@ -448,7 +448,7 @@ let handle_profile t px req =
       ("model_key", J.Str lookup.Registry.l_key);
       ("registry_hit", J.Bool lookup.Registry.l_hit);
       ("backend", J.Str (Sim.Backend.name backend));
-      ("profile", J.parse (Core.Profiler.to_json ?top r)) ]
+      ("profile", Core.Profiler.json ?top r) ]
 
 let handle_audit t px req =
   let cases =
@@ -477,6 +477,16 @@ let handle_audit t px req =
         Core.Audit.run ?jobs:t.r_jobs ~cache:t.r_cache ~config
           lookup.Registry.l_model cases)
   in
+  (* The op answers with the summary statistics at the committed
+     baseline's resolution (a millionth of a percent), so a client can
+     hold an audit against BENCH_accuracy.json with exact equality. *)
+  let micro x = Float.round (x *. 1e6) /. 1e6 in
+  let report =
+    { report with
+      Core.Audit.a_mean_abs = micro report.Core.Audit.a_mean_abs;
+      a_max_abs = micro report.Core.Audit.a_max_abs;
+      a_rms = micro report.Core.Audit.a_rms }
+  in
   phase px ph_serialize @@ fun () ->
   J.Obj
     [ ("ok", J.Bool true);
@@ -484,7 +494,7 @@ let handle_audit t px req =
       ("model_key", J.Str lookup.Registry.l_key);
       ("registry_hit", J.Bool lookup.Registry.l_hit);
       ("backend", J.Str (Sim.Backend.name backend));
-      ("audit", J.parse (Core.Audit.to_json report)) ]
+      ("audit", Core.Audit.json report) ]
 
 (* Sweep a named candidate space against the live registry: each
    distinct base-core configuration's model comes from {!Registry.get}
@@ -896,9 +906,9 @@ let handle_text ?received t payload =
   match J.parse payload with
   | req ->
     let parse_s = Unix.gettimeofday () -. tp in
-    Protocol.json_to_string (handle ?received ~parse_s t req)
+    J.to_string (handle ?received ~parse_s t req)
   | exception J.Parse_error msg ->
     Obs.Metrics.inc (M.errors "invalid");
     Obs.Log.event ~level:Obs.Log.Warn "serve:error"
       [ ("op", Obs.Trace.S "parse"); ("error", Obs.Trace.S msg) ];
-    Protocol.json_to_string (error_resp ("invalid JSON: " ^ msg))
+    J.to_string (error_resp ("invalid JSON: " ^ msg))

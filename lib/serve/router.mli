@@ -19,17 +19,19 @@
     - [attribute] — [{"op": "attribute", "workload": NAME,
       "bucket_cycles": N?, "config": {...}?}]: the per-variable energy
       breakdown and power-over-time waveform
-      ({!Core.Attribution.to_json}).
+      ({!Core.Attribution.json}).
     - [profile] — [{"op": "profile", "workload": NAME, "top": N?,
       "config": {...}?}]: per-basic-block hotspot profile
-      ({!Core.Profiler.to_json}) against the warm registry model —
+      ({!Core.Profiler.json}) against the warm registry model —
       block table, per-opcode histogram, folded flame-graph stacks and
       the conservation gaps.  [top] truncates the block list; omit it
       to get every executed block (what conservation checks need).
     - [audit] — [{"op": "audit", "workloads": [...]?, "config":
       {...}?}]: macro-model vs reference accuracy report
-      ({!Core.Audit.to_json}) over the named workloads (default: the
-      Table II applications), memoized through the shared cache.
+      ({!Core.Audit.json}) over the named workloads (default: the
+      Table II applications), memoized through the shared cache.  Its
+      mean, max and RMS errors are rounded to 1e-6 %, the resolution
+      of the committed baseline, so they compare to it exactly.
     - [explore] — [{"op": "explore", "space": NAME, "backend": NAME?}]:
       sweep a named candidate space ({!Workloads.Spaces.find}: ["rs"],
       ["rs-cache"], ["mac-widths"]) against the live registry.  Each

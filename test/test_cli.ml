@@ -94,7 +94,7 @@ let test_characterize_trace_metrics_attribute () =
   let tj = Obs.Json.parse (slurp trace) in
   let names =
     List.map
-      (fun e -> Obs.Json.(to_string (member "name" e)))
+      (fun e -> Obs.Json.(to_str (member "name" e)))
       Obs.Json.(to_list (member "traceEvents" tj))
   in
   List.iter
@@ -105,7 +105,7 @@ let test_characterize_trace_metrics_attribute () =
   let mj = Obs.Json.parse (slurp metrics) in
   let metric_names =
     List.map
-      (fun m -> Obs.Json.(to_string (member "name" m)))
+      (fun m -> Obs.Json.(to_str (member "name" m)))
       Obs.Json.(to_list (member "metrics" mj))
   in
   List.iter
@@ -166,7 +166,7 @@ let test_explore_smoke () =
       List.map
         (fun p ->
           Obs.Json.
-            ( to_string (member "name" p),
+            ( to_str (member "name" p),
               to_float (member "energy_pj" p),
               to_int (member "cycles" p) ))
         Obs.Json.(to_list (member "points" j))
@@ -282,7 +282,7 @@ let test_audit_smoke () =
   let slurp path = In_channel.with_open_text path In_channel.input_all in
   let j = Obs.Json.parse (slurp report) in
   check Alcotest.string "report format tag" "xenergy-accuracy"
-    Obs.Json.(to_string (member "format" j));
+    Obs.Json.(to_str (member "format" j));
   check Alcotest.bool "report lists programs" true
     Obs.Json.(to_list (member "programs" j) <> []);
   (* The structured log is one parseable JSON record per line, with the
@@ -294,7 +294,7 @@ let test_audit_smoke () =
   in
   check Alcotest.bool "log has records" true (records <> []);
   let events =
-    List.map (fun r -> Obs.Json.(to_string (member "event" r))) records
+    List.map (fun r -> Obs.Json.(to_str (member "event" r))) records
   in
   List.iter
     (fun e ->

@@ -385,13 +385,15 @@ let test_run_report_json_round_trip () =
           recomputed_slices = 3 } }
   in
   let back = Core.Run_report.of_json (Core.Run_report.to_json report) in
+  (* Floats print with %.17g, so they come back bit for bit. *)
+  let exact = Alcotest.float 0.0 in
   check Alcotest.int "jobs" report.Core.Run_report.jobs
     back.Core.Run_report.jobs;
-  check (Alcotest.float 1e-5) "total_seconds"
+  check exact "total_seconds"
     report.Core.Run_report.total_seconds back.Core.Run_report.total_seconds;
   check Alcotest.bool "degraded counters" true
     (back.Core.Run_report.parallel = report.Core.Run_report.parallel);
-  check (Alcotest.float 1e-5) "total energy"
+  check exact "total energy"
     (Core.Run_report.total_energy_pj report)
     (Core.Run_report.total_energy_pj back);
   check Alcotest.int "entry count"
@@ -400,7 +402,7 @@ let test_run_report_json_round_trip () =
   List.iter2
     (fun (a : Core.Run_report.entry) (b : Core.Run_report.entry) ->
       check Alcotest.string "name" a.ename b.ename;
-      check (Alcotest.float 1e-5) (a.ename ^ " wall") a.wall_seconds
+      check exact (a.ename ^ " wall") a.wall_seconds
         b.wall_seconds;
       check Alcotest.int (a.ename ^ " cycles") a.cycles b.cycles;
       check Alcotest.int (a.ename ^ " instructions") a.instructions
@@ -409,10 +411,11 @@ let test_run_report_json_round_trip () =
       check Alcotest.int (a.ename ^ " dcache") a.dcache_misses b.dcache_misses;
       check Alcotest.int (a.ename ^ " stalls") a.stall_cycles b.stall_cycles;
       check Alcotest.int (a.ename ^ " interlocks") a.interlocks b.interlocks;
-      check (Alcotest.float 1e-5) (a.ename ^ " energy") a.energy_pj
+      check exact (a.ename ^ " energy") a.energy_pj
         b.energy_pj;
       check Alcotest.int (a.ename ^ " sims") a.simulations b.simulations)
-    report.Core.Run_report.entries back.Core.Run_report.entries
+    report.Core.Run_report.entries back.Core.Run_report.entries;
+  check Alcotest.bool "whole report equal" true (back = report)
 
 (* Entries must actually carry the stall/interlock counts measured by the
    simulation, not zeros: the interlock case from the small suite has a
@@ -912,6 +915,36 @@ let test_cache_disk_round_trip () =
   | Some _ -> fail "phantom entry");
   check Alcotest.int "one miss" 1
     (Core.Eval_cache.stats c2).Core.Eval_cache.misses
+
+(* An entry exactly as the multi-line writer of earlier releases laid it
+   out: the parser ignores whitespace, so caches written then stay warm. *)
+let old_layout_entry =
+  {|{
+  "format": "xenergy-eval-cache",
+  "version": 1,
+  "key": "0123456789abcdef0123456789abcdef",
+  "name": "gnarly \"name\"\twith\nescapes",
+  "cycles": 4242,
+  "instructions": 1234,
+  "stall_cycles": 17,
+  "measured_pj": 32921.810703292176,
+  "variables": [0.33333333333333331, 1.4142135623730951, 1e-300, 0.10000000000000001, 123456789.12345679, 3.5, 4.1999999999999993, 4.8999999999999995, 5.5999999999999996, 6.2999999999999998, 7, 7.6999999999999993, 8.3999999999999986, 9.0999999999999996, 9.7999999999999989, 10.5, 11.199999999999999, 11.899999999999999, 12.6, 13.299999999999999, 14]
+}
+|}
+
+let test_cache_old_layout_entry () =
+  let dir = fresh_cache_dir () in
+  let key = "0123456789abcdef0123456789abcdef" in
+  Unix.mkdir dir 0o755;
+  Out_channel.with_open_text (Filename.concat dir (key ^ ".json")) (fun oc ->
+      Out_channel.output_string oc old_layout_entry);
+  let c = Core.Eval_cache.create ~dir () in
+  (match Core.Eval_cache.find c key with
+  | None -> fail "old-layout entry not read"
+  | Some e ->
+    check Alcotest.bool "old-layout entry bit-identical" true
+      (e = gnarly_entry));
+  check Alcotest.int "no errors" 0 (Core.Eval_cache.stats c).Core.Eval_cache.errors
 
 let test_cache_corruption_fallback () =
   let dir = fresh_cache_dir () in
@@ -1667,29 +1700,42 @@ let test_audit_json_round_trip () =
   let cases = List.filteri (fun i _ -> i < 2) (small_suite ()) in
   let r = Core.Audit.run ~jobs:1 model cases in
   let r2 = Core.Audit.of_json (Core.Audit.to_json r) in
+  let exact = Alcotest.float 0.0 in
   check Alcotest.int "rows survive" (List.length r.Core.Audit.a_rows)
     (List.length r2.Core.Audit.a_rows);
-  check (Alcotest.float 1e-5) "mean survives" r.Core.Audit.a_mean_abs
+  check exact "mean survives" r.Core.Audit.a_mean_abs
     r2.Core.Audit.a_mean_abs;
-  check (Alcotest.float 1e-5) "max survives" r.Core.Audit.a_max_abs
+  check exact "max survives" r.Core.Audit.a_max_abs
     r2.Core.Audit.a_max_abs;
   List.iter2
     (fun (a : Core.Audit.row) (b : Core.Audit.row) ->
       check Alcotest.string "name survives" a.Core.Audit.a_name
         b.Core.Audit.a_name;
-      check (Alcotest.float 1e-5) "error survives"
+      check exact "error survives"
         a.Core.Audit.a_error_percent b.Core.Audit.a_error_percent;
       check Alcotest.int "cycles survive" a.Core.Audit.a_cycles
         b.Core.Audit.a_cycles;
       check Alcotest.bool "cached flag survives" a.Core.Audit.a_cached
         b.Core.Audit.a_cached)
     r.Core.Audit.a_rows r2.Core.Audit.a_rows;
+  check Alcotest.bool "whole report equal" true (r2 = r);
   (match Core.Audit.of_json "{\"format\": \"something-else\"}" with
   | exception Failure _ -> ()
   | _ -> fail "foreign format accepted");
   match Core.Audit.of_json "not json at all" with
   | exception _ -> ()
   | _ -> fail "garbage accepted"
+
+(* The committed baseline predates the one-printer layout (multi-line,
+   %.6f floats); it must keep loading as the audit gate's reference. *)
+let test_audit_committed_baseline () =
+  let r =
+    Core.Audit.of_json
+      (In_channel.with_open_text "../BENCH_accuracy.json" In_channel.input_all)
+  in
+  check Alcotest.int "ten programs" 10 (List.length r.Core.Audit.a_rows);
+  check (Alcotest.float 0.0) "mean" 2.947134 r.Core.Audit.a_mean_abs;
+  check (Alcotest.float 0.0) "max" 6.069787 r.Core.Audit.a_max_abs
 
 let test_audit_gate () =
   let model = audit_model () in
@@ -2034,6 +2080,144 @@ let test_map_trace_context () =
       | _ -> fail "item span lost the inherited context")
     items
 
+(* --- Every JSON writer under hostile values ---------------------------------- *)
+
+(* A name that needs every kind of escape, and floats JSON cannot
+   encode: each document must still parse, carry the name back intact,
+   and read the non-finite values as null. *)
+let hostile = "q\"b\\s\nn\x01c"
+
+let test_json_writers_hostile () =
+  let module J = Obs.Json in
+  let parse what s =
+    match J.parse s with
+    | j -> j
+    | exception J.Parse_error m -> fail (what ^ ": invalid JSON (" ^ m ^ ")")
+  in
+  let null what v =
+    check Alcotest.bool (what ^ " reads back as null") true (v = J.Null)
+  in
+  let named what v =
+    check Alcotest.bool (what ^ " name intact") true (v = J.Str hostile)
+  in
+  let m = J.member and first v = List.hd (J.to_list v) in
+  let nan_model = Core.Template.make (Array.make Core.Variables.count nan) in
+  let case = { (List.hd (small_suite ())) with Core.Extract.case_name = hostile } in
+  (* Audit *)
+  let j =
+    parse "audit"
+      (Core.Audit.to_json
+         { Core.Audit.a_rows =
+             [ { Core.Audit.a_name = hostile;
+                 a_estimate_pj = nan;
+                 a_reference_pj = infinity;
+                 a_error_percent = neg_infinity;
+                 a_cycles = 1;
+                 a_cached = false } ];
+           a_mean_abs = nan;
+           a_max_abs = infinity;
+           a_rms = neg_infinity;
+           a_wall_seconds = 0.0 })
+  in
+  named "audit" (m "name" (first (m "programs" j)));
+  null "audit mean" (m "mean_abs_error_percent" j);
+  null "audit max" (m "max_abs_error_percent" j);
+  null "audit estimate" (m "estimate_pj" (first (m "programs" j)));
+  (* Run report *)
+  let entry =
+    { Core.Run_report.ename = hostile; wall_seconds = nan; cycles = 1;
+      instructions = 1; icache_misses = 0; dcache_misses = 0;
+      stall_cycles = 0; interlocks = 0; energy_pj = infinity;
+      simulations = 1 }
+  in
+  let j =
+    parse "run report"
+      (Core.Run_report.to_json
+         { Core.Run_report.entries = [ entry ]; total_seconds = nan; jobs = 1;
+           parallel = Core.Run_report.no_degraded; sim_backend = hostile })
+  in
+  named "run report" (m "name" (first (m "workloads" j)));
+  null "run report total" (m "total_seconds" j);
+  null "run report energy" (m "energy_pj" (first (m "workloads" j)));
+  (* Profiler and attribution, driven by a NaN-coefficient model *)
+  let j = parse "profiler" (Core.Profiler.to_json (Core.Profiler.run nan_model case)) in
+  named "profiler" (m "workload" j);
+  null "profiler total" (m "total_energy_pj" j);
+  null "profiler block energy" (m "energy_pj" (first (m "blocks" j)));
+  let j = parse "attribution" (Core.Attribution.to_json (Core.Attribution.run nan_model case)) in
+  named "attribution" (m "workload" j);
+  null "attribution total" (m "total_energy_pj" j);
+  null "attribution row" (m "energy_pj" (first (m "variables" j)));
+  (* Explore, with the hostile name as a point name and as object keys *)
+  let o =
+    Core.Explore.evaluate ~jobs:1 ~explain:true ~profile_top:1 nan_model
+      [ Core.Explore.candidate ~name:hostile case ]
+  in
+  let j = parse "explore" (Core.Explore.to_json o) in
+  named "explore point" (m "name" (first (m "points" j)));
+  named "explore pareto" (first (m "pareto" j));
+  null "explore energy" (m "energy_pj" (first (m "points" j)));
+  null "explore explained" (m "energy_pj" (first (m hostile (m "explained" j))));
+  named "explore profile" (m "workload" (m hostile (m "profiles" j)));
+  (* Cache index *)
+  let idx = Core.Cache_index.create () in
+  Core.Cache_index.record idx
+    { Core.Cache_index.m_key = "0123456789abcdef0123456789abcdef";
+      m_name = hostile; m_size = 1; m_last_used = nan };
+  let dir = fresh_cache_dir () in
+  Unix.mkdir dir 0o755;
+  Core.Cache_index.save dir idx;
+  let j =
+    parse "cache index"
+      (In_channel.with_open_text (Core.Cache_index.index_path dir)
+         In_channel.input_all)
+  in
+  named "cache index" (m "name" (first (m "entries" j)));
+  null "cache index last_used" (m "last_used" (first (m "entries" j)));
+  (* Metrics: a NaN gauge with a hostile label *)
+  with_metrics (fun () ->
+      let g =
+        Obs.Metrics.gauge ~labels:[ ("l", hostile) ] ~help:hostile
+          "test_hostile_gauge"
+      in
+      Obs.Metrics.set g nan;
+      let j = parse "metrics" (Obs.Metrics.to_json ()) in
+      let row =
+        List.find
+          (fun r -> m "name" r = J.Str "test_hostile_gauge")
+          (J.to_list (m "metrics" j))
+      in
+      named "metrics help" (m "help" row);
+      named "metrics label" (m "l" (m "labels" row));
+      null "metrics gauge" (m "value" row);
+      Obs.Metrics.set g 0.0);
+  (* Trace *)
+  let j =
+    parse "trace"
+      (Obs.Trace.to_json
+         [ { Obs.Trace.ev_name = hostile; ev_cat = hostile; ev_ph = 'X';
+             ev_ts = 1.0; ev_dur = infinity; ev_tid = 0;
+             ev_args = [ (hostile, Obs.Trace.F nan) ] } ])
+  in
+  let ev = first (m "traceEvents" j) in
+  named "trace" (m "name" ev);
+  null "trace dur" (m "dur" ev);
+  null "trace arg" (m hostile (m "args" ev));
+  (* Log line *)
+  let log = Filename.temp_file "xenergy-hostile" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Obs.Log.close (); Sys.remove log)
+    (fun () ->
+      Obs.Log.open_file log;
+      Obs.Log.event hostile [ (hostile, Obs.Trace.F nan); ("s", Obs.Trace.S hostile) ];
+      Obs.Log.close ();
+      let j =
+        parse "log" (String.trim (In_channel.with_open_text log In_channel.input_all))
+      in
+      named "log event" (m "event" j);
+      named "log field" (m "s" j);
+      null "log float" (m hostile j))
+
 let () =
   Alcotest.run "core"
     [ ( "variables",
@@ -2106,6 +2290,8 @@ let () =
             test_cache_key_sensitivity;
           Alcotest.test_case "disk round trip" `Quick
             test_cache_disk_round_trip;
+          Alcotest.test_case "old-layout entry" `Quick
+            test_cache_old_layout_entry;
           Alcotest.test_case "corruption fallback" `Quick
             test_cache_corruption_fallback;
           Alcotest.test_case "unwritable directory" `Quick
@@ -2141,6 +2327,8 @@ let () =
         [ Alcotest.test_case "report" `Quick test_audit_report;
           Alcotest.test_case "json round trip" `Quick
             test_audit_json_round_trip;
+          Alcotest.test_case "committed baseline" `Quick
+            test_audit_committed_baseline;
           Alcotest.test_case "gate" `Quick test_audit_gate ] );
       ( "attribution",
         [ Alcotest.test_case "sums to total" `Quick
@@ -2155,4 +2343,7 @@ let () =
             test_profiler_detached_identity ] );
       ( "observer stream",
         [ Alcotest.test_case "stats equal event fold" `Quick
-            test_observer_stream_consistency ] ) ]
+            test_observer_stream_consistency ] );
+      ( "json writers",
+        [ Alcotest.test_case "hostile values" `Quick
+            test_json_writers_hostile ] ) ]

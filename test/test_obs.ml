@@ -28,7 +28,7 @@ let test_json_parse () =
   check Alcotest.int "array length" 3
     (List.length Obs.Json.(to_list (member "b" j)));
   check Alcotest.string "escapes" "x\n\"y\""
-    Obs.Json.(to_string (member "d" (member "c" j)));
+    Obs.Json.(to_str (member "d" (member "c" j)));
   check (Alcotest.float 1e-9) "exponent" (-250.0)
     Obs.Json.(to_float (member "e" j));
   (match Obs.Json.parse "{\"a\": 1} garbage" with
@@ -42,7 +42,7 @@ let test_json_edge_cases () =
   (* \u escapes across all three UTF-8 encoding lengths. *)
   let j = Obs.Json.parse "{\"s\": \"\\u0041\\n\\u00e9\\u20ac\"}" in
   check Alcotest.string "unicode escapes" "A\n\xc3\xa9\xe2\x82\xac"
-    Obs.Json.(to_string (member "s" j));
+    Obs.Json.(to_str (member "s" j));
   (* Deep nesting round-trips without blowing the parser up. *)
   let depth = 200 in
   let doc =
@@ -117,7 +117,7 @@ let test_metrics_histogram () =
       let hj =
         List.find
           (fun m ->
-            Obs.Json.(to_string (member "name" m)) = "test_hist_seconds")
+            Obs.Json.(to_str (member "name" m)) = "test_hist_seconds")
           metrics
       in
       let counts =
@@ -373,9 +373,9 @@ let test_log_records () =
       match read_records path with
       | [ one; two ] ->
         check Alcotest.string "event name" "test:one"
-          Obs.Json.(to_string (member "event" one));
+          Obs.Json.(to_str (member "event" one));
         check Alcotest.string "level" "info"
-          Obs.Json.(to_string (member "level" one));
+          Obs.Json.(to_str (member "level" one));
         check Alcotest.bool "tid present" true
           (Obs.Json.(to_int (member "tid" one)) >= 0);
         check Alcotest.int "pid" (Unix.getpid ())
@@ -383,7 +383,7 @@ let test_log_records () =
         check Alcotest.bool "ts present" true
           (Obs.Json.(to_float (member "ts_us" one)) >= 0.0);
         check Alcotest.string "string field escaped" "a\"b\nc"
-          Obs.Json.(to_string (member "s" one));
+          Obs.Json.(to_str (member "s" one));
         check Alcotest.int "int field" 42 Obs.Json.(to_int (member "i" one));
         check (Alcotest.float 1e-9) "float field" 2.5
           Obs.Json.(to_float (member "f" one));
@@ -396,7 +396,7 @@ let test_log_records () =
          | Obs.Json.Null -> ()
          | _ -> fail "NaN should serialize as null");
         check Alcotest.string "error level" "error"
-          Obs.Json.(to_string (member "level" two))
+          Obs.Json.(to_str (member "level" two))
       | l -> fail (Printf.sprintf "%d records, want 2" (List.length l)))
 
 let test_log_level_floor () =
@@ -409,7 +409,7 @@ let test_log_level_floor () =
       Obs.Log.close ();
       let names =
         List.map
-          (fun r -> Obs.Json.(to_string (member "event" r)))
+          (fun r -> Obs.Json.(to_str (member "event" r)))
           (read_records path)
       in
       check (Alcotest.list Alcotest.string) "only warn and above"
@@ -482,7 +482,7 @@ let test_trace_spans_and_json () =
        | _ -> fail "exception swallowed");
       let j = Obs.Json.parse (Obs.Trace.to_json (Obs.Trace.events ())) in
       let evs = Obs.Json.(to_list (member "traceEvents" j)) in
-      let name e = Obs.Json.(to_string (member "name" e)) in
+      let name e = Obs.Json.(to_str (member "name" e)) in
       let names = List.map name evs in
       List.iter
         (fun n ->
@@ -628,7 +628,7 @@ let test_waveform_buckets () =
   check Alcotest.int "json bucket width" 10
     Obs.Json.(to_int (member "bucket_cycles" j));
   check Alcotest.string "unit stated" "pJ"
-    Obs.Json.(to_string (member "unit" j))
+    Obs.Json.(to_str (member "unit" j))
 
 let test_waveform_bucket_edges () =
   let w = Obs.Waveform.create ~bucket_cycles:10 () in
@@ -736,11 +736,43 @@ let test_profile_stacks () =
     (let paths = List.map (fun (p, _, _) -> p) folded in
      paths = List.sort String.compare paths)
 
+(* Nesting is bounded: a frame of brackets far past the bound is a
+   prompt parse error, not a stack overflow or a multi-second parse. *)
+let test_json_depth_bound () =
+  let depth = 100_000 in
+  let doc = String.make depth '[' ^ String.make depth ']' in
+  let t0 = Unix.gettimeofday () in
+  (match Obs.Json.parse doc with
+   | exception Obs.Json.Parse_error _ -> ()
+   | _ -> fail "100 000-deep document accepted");
+  check Alcotest.bool "rejected promptly" true (Unix.gettimeofday () -. t0 < 0.5);
+  let at_bound n = String.make n '[' ^ String.make n ']' in
+  (match Obs.Json.parse (at_bound Obs.Json.max_depth) with
+   | _ -> ()
+   | exception Obs.Json.Parse_error m -> fail ("bound itself rejected: " ^ m));
+  match Obs.Json.parse (at_bound (Obs.Json.max_depth + 1)) with
+  | exception Obs.Json.Parse_error _ -> ()
+  | _ -> fail "one past the bound accepted"
+
+(* A \u surrogate pair is one code point: four UTF-8 bytes, not two
+   three-byte halves; an unpaired half is malformed. *)
+let test_json_surrogates () =
+  check Alcotest.string "pair decodes to one 4-byte sequence" "\xf0\x9f\x98\x80"
+    (Obs.Json.to_str (Obs.Json.parse {|"\ud83d\ude00"|}));
+  List.iter
+    (fun doc ->
+      match Obs.Json.parse doc with
+      | exception Obs.Json.Parse_error _ -> ()
+      | _ -> fail ("lone surrogate accepted: " ^ doc))
+    [ {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|}; {|"\ude00"|} ]
+
 let () =
   Alcotest.run "obs"
     [ ( "json",
         [ Alcotest.test_case "parse" `Quick test_json_parse;
-          Alcotest.test_case "edge cases" `Quick test_json_edge_cases ] );
+          Alcotest.test_case "edge cases" `Quick test_json_edge_cases;
+          Alcotest.test_case "depth bound" `Quick test_json_depth_bound;
+          Alcotest.test_case "surrogate pairs" `Quick test_json_surrogates ] );
       ( "metrics",
         [ Alcotest.test_case "disabled no-op" `Quick
             test_metrics_disabled_is_noop;

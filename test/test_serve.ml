@@ -103,18 +103,18 @@ let test_json_print_roundtrip () =
         ("a", J.Arr [ J.Num 1.0; J.Str "x"; J.Obj [ ("k", J.Bool false) ] ]) ]
   in
   check Alcotest.bool "printer output re-parses to the same document" true
-    (J.parse (Serve.Protocol.json_to_string doc) = doc);
+    (J.parse (Obs.Json.to_string doc) = doc);
   (* Non-finite floats have no JSON encoding: printed as null. *)
   check Alcotest.string "nan prints as null" "null"
-    (Serve.Protocol.json_to_string (J.Num Float.nan));
+    (Obs.Json.to_string (J.Num Float.nan));
   check Alcotest.string "inf prints as null" "null"
-    (Serve.Protocol.json_to_string (J.Num Float.infinity));
+    (Obs.Json.to_string (J.Num Float.infinity));
   (* Negative and exponent-heavy floats survive print -> parse
      bit-for-bit: %.17g is enough decimal digits to pin down any
      double, normal or subnormal. *)
   List.iter
     (fun f ->
-      match J.parse (Serve.Protocol.json_to_string (J.Num f)) with
+      match J.parse (Obs.Json.to_string (J.Num f)) with
       | J.Num g ->
         check Alcotest.bool
           (Printf.sprintf "%h round-trips bit-for-bit" f)
@@ -850,7 +850,7 @@ let test_server_hangup_mid_response () =
   for _ = 1 to 3 do
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX socket);
-    Serve.Protocol.write_frame fd (Serve.Protocol.json_to_string estimate_req);
+    Serve.Protocol.write_frame fd (Obs.Json.to_string estimate_req);
     Unix.close fd
   done;
   Unix.sleepf 0.2;
@@ -864,7 +864,7 @@ let test_server_half_close () =
   with_server ~max_models:1 @@ fun socket ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
-  Serve.Protocol.write_frame fd (Serve.Protocol.json_to_string ping_req);
+  Serve.Protocol.write_frame fd (Obs.Json.to_string ping_req);
   Unix.shutdown fd Unix.SHUTDOWN_SEND;
   (match Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) fd with
    | Some payload ->
@@ -880,6 +880,25 @@ let test_server_half_close () =
   check Alcotest.bool "daemon still alive" true
     (as_bool
        (member "ok" (Serve.Client.call ~timeout_s:5.0 ~socket ping_req)))
+
+let test_server_deep_frame () =
+  (* A frame nesting far past the parser's depth bound is answered with
+     a well-formed refusal, and the daemon keeps serving. *)
+  with_server ~max_models:1 @@ fun socket ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Serve.Protocol.write_frame fd
+        (String.make 100_000 '[' ^ String.make 100_000 ']');
+      match
+        Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) fd
+      with
+      | Some payload ->
+        check Alcotest.bool "deep frame refused with ok:false" false
+          (as_bool (member "ok" (J.parse payload)))
+      | None -> Alcotest.fail "no response to the deep frame");
+  check Alcotest.bool "daemon still answers ping" true
+    (as_bool (member "ok" (Serve.Client.call ~timeout_s:5.0 ~socket ping_req)))
 
 let test_client_session_reuse () =
   (* One connected session carries many calls; the daemon counts them
@@ -1100,6 +1119,8 @@ let () =
             test_server_hangup_mid_response;
           Alcotest.test_case "half-close still answered" `Slow
             test_server_half_close;
+          Alcotest.test_case "deep frame refused" `Slow
+            test_server_deep_frame;
           Alcotest.test_case "session reuse" `Slow test_client_session_reuse;
           Alcotest.test_case "per-session trace ids" `Slow
             test_server_trace_ids_per_session;
